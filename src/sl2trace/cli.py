@@ -60,6 +60,16 @@ def _parse_scalars(ctx, items, count=None):
         raise InputError(f"bad scalar: {exc}") from exc
 
 
+def _parse_int(item):
+    """A JSON integer or an integer literal string."""
+    if isinstance(item, (int, str)) and not isinstance(item, bool):
+        try:
+            return int(item)
+        except ValueError:
+            pass
+    raise InputError(f"expected an integer, got {item!r}")
+
+
 def _mat_json(m):
     return [e.to_json() for e in m.entries()]
 
@@ -196,10 +206,22 @@ def _run_certify(spec):
     from .planar import PartitionTF
 
     payload = spec.payload
-    n = int(payload["n"])
-    boundary = [int(v) for v in payload["boundary"]]
-    table = {tuple(k): int(v) for k, v in payload["table"]}
-    tf = PartitionTF.build(n, boundary, {frozenset(k): v for k, v in table.items()})
+    n = _parse_int(payload["n"])
+    if n > 8:
+        raise InputError("exceptional certificates are capped at n = 8")
+    boundary = payload["boundary"]
+    if not isinstance(boundary, list) or len(boundary) != n:
+        raise InputError(f"boundary must be a list of n = {n} values")
+    boundary = [_parse_int(v) for v in boundary]
+    table = {}
+    for entry in payload["table"]:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
+            raise InputError(f"table entries must be [subset, value] pairs, got {entry!r}")
+        subset = frozenset(_parse_int(k) for k in entry[0])
+        if not all(1 <= k <= n for k in subset):
+            raise InputError(f"table subset {entry[0]!r} is not inside 1..{n}")
+        table[subset] = _parse_int(entry[1])
+    tf = PartitionTF.build(n, boundary, table)
     cert = certify_exceptional(tf, _ctx(spec))
     code = 0 if cert["exceptional"] else 1
     return code, _report(spec, {"certificate": _cert_json(cert)})

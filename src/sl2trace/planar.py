@@ -792,62 +792,100 @@ def exceptional_enumerate(n, char=0):
     return _search_pm2_family(n, char)
 
 
-def _search_pm2_family(n, char=0):
-    """Constraint search driving the n >= 6 enumeration; empty in
-    characteristic 2 (the candidate value set collapses)."""
-    if char == 2:
-        return []
+def _pm2_system(n):
+    """Flat-index form of the n-boundary search.
+
+    The search keeps one list `vals`: the n boundary values, then one
+    value per table key.  Returns the keys, the `vals` index of every
+    proper nonempty subset of {1..n} (complements share an index), and
+    for each key the 4-holed-sphere constraints it completes, each a
+    7-tuple of `vals` indices (four block values, then the values on
+    t1|t2, t2|t3, t1|t3).
+    """
     universe = frozenset(range(1, n + 1))
     keys = sorted(
         {tuple(sorted(_canonical_subset(frozenset(s), n)))
          for size in range(2, n - 1)
          for s in itertools.combinations(universe, size)}
     )
-    key_pos = {k: i for i, k in enumerate(keys)}
-
-    def token(s):
-        if len(s) == 1:
-            return ("b", min(s) - 1)
-        if len(s) == n - 1:
-            return ("b", min(universe - s) - 1)
-        return ("k", key_pos[tuple(sorted(_canonical_subset(s, n)))])
-
+    index = {}
+    for i in range(1, n + 1):
+        index[frozenset((i,))] = index[universe - {i}] = i - 1
+    for pos, key in enumerate(keys):
+        s = frozenset(key)
+        index[s] = index[universe - s] = n + pos
     fire = [[] for _ in keys]
-    for blocks in _partitions_into(4, universe):
-        t1, t2, t3, t4 = blocks
-        toks = tuple(token(s) for s in (t1, t2, t3, t4, t1 | t2, t2 | t3, t1 | t3))
-        last = max(i for kind, i in toks if kind == "k")
-        fire[last].append(toks)
+    for t1, t2, t3, t4 in _partitions_into(4, universe):
+        idx = tuple(index[s] for s in (t1, t2, t3, t4, t1 | t2, t2 | t3, t1 | t3))
+        fire[max(idx) - n].append(idx)
+    return keys, index, fire
 
+
+def _pm2_tables(n, boundary, system):
+    """Key-value tuples of every exceptional table over one boundary
+    vector, in DFS order (2 before -2 at each key)."""
+    _keys, index, fire = system
+    vals = list(boundary) + [0] * len(fire)
+    end = len(vals)
+    tables = []
+
+    def value_fn(s):
+        return vals[index[s]]
+
+    def dfs(pos):
+        if pos == end:
+            if exceptional_witness_partition(n, value_fn) is not None:
+                tables.append(tuple(vals[n:]))
+            return
+        constraints = fire[pos - n]
+        for v in (2, -2):
+            vals[pos] = v
+            for a, b, c, d, e, f, g in constraints:
+                if _int_tf04_residual((vals[a], vals[b], vals[c], vals[d]),
+                                      (vals[e], vals[f], vals[g])):
+                    break
+            else:
+                dfs(pos + 1)
+
+    dfs(n)
+    return tables
+
+
+def _search_pm2_family(n, char=0):
+    """Constraint search driving the n >= 6 enumeration; empty in
+    characteristic 2 (the candidate value set collapses).
+
+    The result set is closed under even sign flips.  Flipping the boundary
+    signs on an index set I with |I| even multiplies the table value on
+    a subset S by (-1)^|S & I|; the sign is the same for S and its
+    complement because |I| is even.  Each 4-holed-sphere residual term
+    then picks up a product of block signs in which every block sign
+    appears an even number of times (the four block signs multiply to
+    (-1)^|I| = 1), so residuals are unchanged; so are the product and
+    the pair rule of a 5-block witness.  Even flips act transitively on
+    each product-sign class of boundary vectors, so the DFS runs once
+    from each class root, (2, ..., 2) and (-2, 2, ..., 2), and every
+    other boundary vector takes the flipped results of its class root.
+    Results come in the order of a DFS over every boundary vector.
+    """
+    if char == 2:
+        return []
+    system = _pm2_system(n)
+    key_sets = [frozenset(k) for k in system[0]]
+    roots = ((2,) * n, (-2,) + (2,) * (n - 1))
+    root_tables = [_pm2_tables(n, root, system) for root in roots]
     results = []
-    nkeys = len(keys)
     for boundary in itertools.product((2, -2), repeat=n):
-        assign = [0] * nkeys
-
-        def val(tok):
-            kind, i = tok
-            return boundary[i] if kind == "b" else assign[i]
-
-        def consistent(toks):
-            b = (val(toks[0]), val(toks[1]), val(toks[2]), val(toks[3]))
-            u = (val(toks[4]), val(toks[5]), val(toks[6]))
-            return _int_tf04_residual(b, u) == 0
-
-        def value_fn(s):
-            return val(token(frozenset(s)))
-
-        def dfs(pos):
-            if pos == nkeys:
-                if exceptional_witness_partition(n, value_fn) is not None:
-                    table = {frozenset(keys[i]): assign[i] for i in range(nkeys)}
-                    results.append(PartitionTF.build(n, boundary, table))
-                return
-            for v in (2, -2):
-                assign[pos] = v
-                if all(consistent(t) for t in fire[pos]):
-                    dfs(pos + 1)
-
-        dfs(0)
+        cls = boundary.count(-2) % 2
+        flip = {i + 1 for i in range(n) if boundary[i] != roots[cls][i]}
+        signs = [-1 if len(k & flip) % 2 else 1 for k in key_sets]
+        # descending value tuples are the DFS order (2 before -2)
+        tables = sorted(
+            (tuple(s * v for s, v in zip(signs, t)) for t in root_tables[cls]),
+            reverse=True,
+        )
+        for t in tables:
+            results.append(PartitionTF.build(n, boundary, dict(zip(key_sets, t))))
     return results
 
 

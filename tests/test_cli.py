@@ -51,6 +51,13 @@ def test_exceptional_subcommand_golden():
     assert report["result"]["count"] == 16
 
 
+def test_exceptional_n6_golden():
+    code, out = invoke(["exceptional", "--n", "6"])
+    assert code == 0
+    assert out == (GOLDEN / "exceptional_n6.out.json").read_text()
+    assert json.loads(out)["result"]["count"] == 192
+
+
 def test_identities_subcommand_golden():
     args = ["identities", "--samples", "25", "--seed", "7"]
     code1, out1 = invoke(args)
@@ -95,6 +102,35 @@ def test_exceptional_char2_rejected():
 def test_exceptional_cap():
     code, out = invoke(["exceptional", "--n", "9"])
     assert code == 2
+
+
+F0_TABLE = [[[i, j], -2] for i in range(1, 6) for j in range(i + 1, 6)]
+
+
+def test_certify_f0():
+    payload = {"n": 5, "boundary": [2] * 5, "table": F0_TABLE}
+    code, report = run(JobSpec(command="certify", payload=payload))
+    assert code == 0
+    assert report["result"]["certificate"]["exceptional"] is True
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 9, "boundary": [2] * 9, "table": []},
+    {"n": 5, "boundary": [2] * 4, "table": F0_TABLE},
+    {"n": 5, "boundary": [2] * 6, "table": F0_TABLE},
+    {"n": 5, "boundary": "22222", "table": F0_TABLE},
+    {"n": 5, "boundary": [2, 2, 2, 2, "zz"], "table": F0_TABLE},
+    {"n": 5, "boundary": [2, 2, 2, 2, 2.5], "table": F0_TABLE},
+    {"n": "five", "boundary": [2] * 5, "table": F0_TABLE},
+    {"n": 5, "boundary": [2] * 5, "table": F0_TABLE[:-1] + [[[4, 5], "zz"]]},
+    {"n": 5, "boundary": [2] * 5, "table": F0_TABLE[:-1] + [[[4, "x"], -2]]},
+    {"n": 5, "boundary": [2] * 5, "table": F0_TABLE[:-1] + [[[4, 5], -2, 0]]},
+    {"n": 5, "boundary": [2] * 5, "table": F0_TABLE + [[[1, 9], 2]]},
+])
+def test_certify_malformed_exit_2(payload):
+    code, report = run(JobSpec(command="certify", payload=payload))
+    assert code == 2
+    assert "error" in report
 
 
 def test_run_api_inline():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,8 @@ from sl2trace.planar import (
     pentagon_relations_check,
     pentagon_word,
     _equation_residuals,
+    _pm2_system,
+    _pm2_tables,
     _search_pm2_family,
 )
 
@@ -336,6 +339,42 @@ def test_n6_enumeration_contains_construction():
     assert any(tf == target for tf in fams)
     for tf in fams[:4]:
         assert certify_exceptional(tf, q_ctx())["exceptional"]
+
+
+def _flip(tf, flip):
+    """The even sign flip of a partition TF on the index set `flip`."""
+    boundary = tuple(-v if i + 1 in flip else v for i, v in enumerate(tf.boundary))
+    table = {frozenset(k): -v if len(flip & set(k)) % 2 else v for k, v in tf.table}
+    return PartitionTF.build(tf.n, boundary, table)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_results_closed_under_even_sign_flips(n):
+    fams = set(exceptional_enumerate(n))
+    for size in range(2, n + 1, 2):
+        for flip in itertools.combinations(range(1, n + 1), size):
+            assert {_flip(tf, set(flip)) for tf in fams} == fams, flip
+
+
+def test_search_reproduces_the_closed_form_n5():
+    assert _search_pm2_family(5) == exceptional_enumerate(5)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_dfs_from_a_non_root_boundary_matches_the_flipped_root(n):
+    system = _pm2_system(n)
+    keys = [frozenset(k) for k in system[0]]
+
+    def found(boundary):
+        return {PartitionTF.build(n, boundary, dict(zip(keys, t)))
+                for t in _pm2_tables(n, boundary, system)}
+
+    positive_root, positive = (2,) * n, (2, -2, -2) + (2,) * (n - 3)
+    negative_root, negative = (-2,) + (2,) * (n - 1), (2, -2) + (2,) * (n - 2)
+    assert found(positive_root)
+    for root, boundary in ((positive_root, positive), (negative_root, negative)):
+        flip = {i + 1 for i in range(n) if boundary[i] != root[i]}
+        assert found(boundary) == {_flip(tf, flip) for tf in found(root)}
 
 
 def test_partition_tf_to_trace_data():
