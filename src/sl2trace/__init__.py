@@ -1,6 +1,6 @@
 """Exact SL(2) character calculus over quadratically closed towers."""
 
-from .qfield import TowerContext, TowerElement, arith, characteristic, solve_quadratic
+from .qfield import TowerContext, TowerElement, characteristic, solve_quadratic
 from .sl2 import Line, Mat2, Rep, delta, is_reducible_family, is_reducible_pair, realize_triple
 from .fricke import TracePolynomial, Word, reduce_trace_word, trace_of_word_direct, variety_residual
 from .farey import Slope, complete_triangle, farey_walk, is_neighbor, slope_word_torus
@@ -15,7 +15,7 @@ from .planar import (
 )
 
 __all__ = [
-    "TowerContext", "TowerElement", "arith", "characteristic", "solve_quadratic",
+    "TowerContext", "TowerElement", "characteristic", "solve_quadratic",
     "Line", "Mat2", "Rep", "delta", "is_reducible_family", "is_reducible_pair",
     "realize_triple",
     "TracePolynomial", "Word", "reduce_trace_word", "trace_of_word_direct",

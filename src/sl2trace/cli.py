@@ -4,11 +4,17 @@ Every subcommand reads exact base-field scalars, runs the library over a
 fresh tower context, and emits one deterministic JSON report that echoes
 the input and the tower extensions used.  Exit codes: 0 success, 1
 mathematical rejection (witness in the report), 2 malformed input.
+
+This module is the program's one input boundary: argv and payloads are
+decoded and range-checked here, by the parser and the `_read_*`
+functions, which raise `InputError`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import random
 import sys
@@ -20,6 +26,8 @@ from .farey import FareyError, Slope
 from .fricke import Word, WordError, reduce_trace_word, variety_residual
 from .surfchar import SurfaceError, TF04, tf11_extend
 from .planar import (
+    FIFTEEN_KEYS,
+    PartitionTF,
     PlanarError,
     TraceData05,
     check_trace_function_05,
@@ -30,6 +38,13 @@ from .planar import (
 
 
 SCHEMA = "1"
+
+# Input caps; README.md gives the time the slowest accepted input takes.
+EXCEPTIONAL_N = (5, 6)  # one n = 7 search root ran 300 s without finishing
+CERTIFY_N_MAX = 8
+WORD_MAX_LETTERS = 16  # after free reduction
+WORD_MAX_GENERATOR = 5
+SAMPLES_MAX = 1000
 
 
 class InputError(ValueError):
@@ -47,27 +62,94 @@ class JobSpec:
     samples: int = 100
 
 
-def _ctx(spec):
-    return TowerContext(base_from_spec(spec.field))
+# ---------------------------------------------------------------------------
+# readers: decode one kind of input or raise InputError
 
 
-def _parse_scalars(ctx, items, count=None):
-    if count is not None and len(items) != count:
-        raise InputError(f"expected {count} values, got {len(items)}")
+def _read_base(spec):
     try:
-        return [ctx.parse(str(s)) for s in items]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad scalar: {exc}") from exc
+        return base_from_spec(spec.field)
+    except ValueError as exc:  # FieldError, or int() of "fp:zz"
+        raise InputError(f"bad field spec {spec.field!r}: expected q or fp:<prime>") from exc
 
 
-def _parse_int(item):
-    """A JSON integer or an integer literal string."""
-    if isinstance(item, (int, str)) and not isinstance(item, bool):
-        try:
-            return int(item)
-        except ValueError:
-            pass
-    raise InputError(f"expected an integer, got {item!r}")
+def _ctx(spec):
+    return TowerContext(_read_base(spec))
+
+
+def _get(payload, key, kind=None, count=None):
+    """payload[key] of type `kind`, a list of `count` values if given."""
+    if not isinstance(payload, dict):
+        raise InputError("the payload must be a JSON object")
+    if key not in payload:
+        raise InputError(f"missing field {key!r}")
+    value = payload[key]
+    if kind is not None and not isinstance(value, kind):
+        raise InputError(f"{key!r} must be a {kind.__name__}, got {value!r}")
+    if count is not None and len(value) != count:
+        raise InputError(f"{key!r} must have {count} values, got {len(value)}")
+    return value
+
+
+def _decode(parse, text, what):
+    """parse(text) for a string `text`; any failure is malformed input."""
+    if not isinstance(text, str):
+        raise InputError(f"bad {what}: {text!r} is not a string")
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:  # FareyError, WordError are ValueErrors
+        raise InputError(f"bad {what} {text!r}: {exc}") from exc
+
+
+def _read_scalars(ctx, payload, key, count):
+    return [_decode(ctx.parse, str(s), key) for s in _get(payload, key, list, count)]
+
+
+def _read_int(item, what, lo=None, hi=None):
+    """A JSON integer or an integer literal string, within lo..hi."""
+    value = item if type(item) is int else _decode(int, item, what)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise InputError(f"{what} must be in {lo}..{hi}, got {value}")
+    return value
+
+
+def _read_word(payload):
+    word = _decode(Word.parse, _get(payload, "word"), "word")
+    if len(word) > WORD_MAX_LETTERS or word.rank() > WORD_MAX_GENERATOR:
+        raise InputError(f"words are capped at {WORD_MAX_LETTERS} letters, x{WORD_MAX_GENERATOR}")
+    return word
+
+
+def _read_trace_data(ctx, payload):
+    """Atlas data: 5 boundary scalars and exactly the 10 interior keys."""
+    vals = dict(zip(FIFTEEN_KEYS, _read_scalars(ctx, payload, "boundary", 5)))
+    interior = _get(payload, "interior", dict)
+    if set(interior) != set(FIFTEEN_KEYS[5:]):
+        raise InputError(f"'interior' must map exactly the keys {list(FIFTEEN_KEYS[5:])}")
+    vals.update((key, _decode(ctx.parse, str(s), key)) for key, s in interior.items())
+    return TraceData05(vals)
+
+
+def _read_partition_tf(payload):
+    """A certify table: one value per boundary subset class, none twice."""
+    n = _read_int(_get(payload, "n"), "n", 0, CERTIFY_N_MAX)
+    boundary = [_read_int(v, "boundary value") for v in _get(payload, "boundary", list, n)]
+    universe = frozenset(range(1, n + 1))
+    table = {}
+    for entry in _get(payload, "table", list):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
+            raise InputError(f"table entries must be [subset, value] pairs, got {entry!r}")
+        subset = frozenset(_read_int(k, "subset member", 1, n) for k in entry[0])
+        value = _read_int(entry[1], "table value")
+        for key in (subset, universe - subset):  # a subset and its complement are one class
+            if table.get(key, value) != value:
+                raise InputError(f"the table gives subset {sorted(subset)} two values")
+        table[subset] = value
+    for size in range(2, n - 1):
+        for s in itertools.combinations(range(1, n + 1), size):
+            if frozenset(s) not in table and universe - frozenset(s) not in table:
+                raise InputError(f"the table has no value for subset {list(s)}")
+    return PartitionTF.build(n, boundary, table)
 
 
 def _mat_json(m):
@@ -94,40 +176,35 @@ def _report(spec, result, ctx=None):
 
 def _run_realize(spec):
     ctx = _ctx(spec)
-    traces = _parse_scalars(ctx, spec.payload["traces"], 6)
-    mats = realize_triple(*traces, ctx)
+    mats = realize_triple(*_read_scalars(ctx, spec.payload, "traces", 6), ctx)
     return 0, _report(spec, {"matrices": [_mat_json(m) for m in mats]}, ctx)
 
 
 def _run_tracepoly(spec):
-    rank = int(spec.payload.get("rank", 0)) or None
-    word = Word.parse(spec.payload["word"])
+    word = _read_word(spec.payload)
+    rank = _read_int(spec.payload.get("rank", 0), "rank") or None
     poly = reduce_trace_word(word, rank)
     return 0, _report(spec, {"word": str(word), "polynomial": poly.to_json()})
 
 
 def _run_variety(spec):
     ctx = _ctx(spec)
-    point = _parse_scalars(ctx, spec.payload["point"], 7)
-    res = variety_residual(point)
+    res = variety_residual(_read_scalars(ctx, spec.payload, "point", 7))
     return 0, _report(spec, {"residual": res.to_json(), "on_variety": res.is_zero()}, ctx)
 
 
 def _run_propagate(spec):
     ctx = _ctx(spec)
-    surface = spec.payload.get("surface")
-    slopes = [Slope.parse(s) for s in spec.payload.get("slopes", [])]
+    surface = _get(spec.payload, "surface")
+    slopes = [_decode(Slope.parse, s, "slope")
+              for s in (_get(spec.payload, "slopes", list) if "slopes" in spec.payload else ())]
     if surface == "sigma11":
-        triangle = _parse_scalars(ctx, spec.payload["triangle"], 3)
-        tf = tf11_extend(*triangle)
+        tf = tf11_extend(*_read_scalars(ctx, spec.payload, "triangle", 3))
         values = [[str(s), tf.query(s).to_json()] for s in slopes]
-        return 0, _report(
-            spec, {"boundary_value": tf.boundary.to_json(), "values": values}, ctx
-        )
+        return 0, _report(spec, {"boundary_value": tf.boundary.to_json(), "values": values}, ctx)
     if surface == "sigma04":
-        boundary = _parse_scalars(ctx, spec.payload["boundary"], 4)
-        triangle = _parse_scalars(ctx, spec.payload["triangle"], 3)
-        tf = TF04(boundary, triangle)
+        boundary = _read_scalars(ctx, spec.payload, "boundary", 4)
+        tf = TF04(boundary, _read_scalars(ctx, spec.payload, "triangle", 3))
         res = tf.residual()
         if not res.is_zero():
             return 1, _report(spec, {"rejected": "seed residual", "residual": res.to_json()}, ctx)
@@ -136,20 +213,9 @@ def _run_propagate(spec):
     raise InputError("surface must be sigma11 or sigma04")
 
 
-def _trace_data_from_payload(ctx, payload):
-    boundary = _parse_scalars(ctx, payload["boundary"], 5)
-    interior = payload["interior"]
-    vals = {str(i + 1): boundary[i] for i in range(4)}
-    vals["1234"] = boundary[4]
-    for key, s in interior.items():
-        vals[key] = ctx.parse(str(s))
-    return TraceData05(vals)
-
-
 def _run_check05(spec):
     ctx = _ctx(spec)
-    data = _trace_data_from_payload(ctx, spec.payload)
-    verdict = check_trace_function_05(data)
+    verdict = check_trace_function_05(_read_trace_data(ctx, spec.payload))
     result = {"verdict": verdict.kind}
     if verdict.kind == "character":
         result["rep"] = [_mat_json(m) for m in verdict.rep.generators]
@@ -162,8 +228,7 @@ def _run_check05(spec):
 
 def _run_glue05(spec):
     ctx = _ctx(spec)
-    data = _trace_data_from_payload(ctx, spec.payload)
-    verdict = glue_sigma05(data)
+    verdict = glue_sigma05(_read_trace_data(ctx, spec.payload))
     result = {"verdict": verdict.kind}
     if verdict.kind == "rep":
         result["rep"] = [_mat_json(m) for m in verdict.rep.generators]
@@ -186,55 +251,18 @@ def _witness_json(w):
 
 
 def _run_exceptional(spec):
-    base = base_from_spec(spec.field)
-    if spec.n > 8:
-        raise InputError("exceptional enumeration is capped at n = 8")
-    fams = exceptional_enumerate(spec.n, char=base.characteristic)
-    items = []
-    for tf in sorted(fams, key=lambda t: (t.boundary, t.table)):
-        items.append({
-            "boundary": list(tf.boundary),
-            "table": [[list(k), v] for k, v in tf.table],
-        })
-    return 0, _report(spec, {"n": spec.n, "count": len(items), "functions": items})
+    base = _read_base(spec)
+    n = _read_int(spec.n, "n", *EXCEPTIONAL_N)
+    items = [{"boundary": list(tf.boundary), "table": [[list(k), v] for k, v in tf.table]}
+             for tf in sorted(exceptional_enumerate(n, char=base.characteristic),
+                              key=lambda t: (t.boundary, t.table))]
+    return 0, _report(spec, {"n": n, "count": len(items), "functions": items})
 
 
 def _run_certify(spec):
-    base = base_from_spec(spec.field)
-    if base.characteristic == 2:
-        raise PlanarError("no exceptional trace functions in characteristic 2")
-    from .planar import PartitionTF
-
-    payload = spec.payload
-    n = _parse_int(payload["n"])
-    if n > 8:
-        raise InputError("exceptional certificates are capped at n = 8")
-    boundary = payload["boundary"]
-    if not isinstance(boundary, list) or len(boundary) != n:
-        raise InputError(f"boundary must be a list of n = {n} values")
-    boundary = [_parse_int(v) for v in boundary]
-    table = {}
-    for entry in payload["table"]:
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
-            raise InputError(f"table entries must be [subset, value] pairs, got {entry!r}")
-        subset = frozenset(_parse_int(k) for k in entry[0])
-        if not all(1 <= k <= n for k in subset):
-            raise InputError(f"table subset {entry[0]!r} is not inside 1..{n}")
-        table[subset] = _parse_int(entry[1])
-    tf = PartitionTF.build(n, boundary, table)
-    cert = certify_exceptional(tf, _ctx(spec))
-    code = 0 if cert["exceptional"] else 1
-    return code, _report(spec, {"certificate": _cert_json(cert)})
-
-
-def _cert_json(cert):
-    out = {}
-    for k, v in cert.items():
-        if isinstance(v, dict):
-            out[k] = _cert_json(v)
-        else:
-            out[k] = v
-    return out
+    tf = _read_partition_tf(spec.payload)
+    cert = certify_exceptional(tf, _ctx(spec))  # raises PlanarError in characteristic 2
+    return 0 if cert["exceptional"] else 1, _report(spec, {"certificate": cert})
 
 
 def _random_sl2(rng, ctx, bound=4):
@@ -280,16 +308,14 @@ def _identity_suite(ctx, rng, samples):
 
 
 def _run_identities(spec):
+    samples = _read_int(spec.samples, "samples", 1, SAMPLES_MAX)
     rng = random.Random(spec.seed)
     results = {}
     for field in ("q", "fp:5"):
         ctx = TowerContext(base_from_spec(field))
-        counts = _identity_suite(ctx, rng, spec.samples)
-        results[field] = {
-            "samples": spec.samples,
-            "counts": counts,
-            "all_pass": all(v == spec.samples for v in counts.values()),
-        }
+        counts = _identity_suite(ctx, rng, samples)
+        results[field] = {"samples": samples, "counts": counts,
+                          "all_pass": all(v == samples for v in counts.values())}
     code = 0 if all(r["all_pass"] for r in results.values()) else 1
     return code, _report(spec, results)
 
@@ -307,22 +333,36 @@ _COMMANDS = {
 }
 
 
+def _error_report(command, exc):
+    return {"schema": SCHEMA, "command": command, "error": str(exc)}
+
+
 def run(spec):
     """Execute a job; returns (exit_code, report_dict)."""
     try:
+        if spec.command not in _COMMANDS:
+            raise InputError(f"unknown command {spec.command!r}")
         return _COMMANDS[spec.command](spec)
-    except (InputError, WordError, KeyError, TypeError) as exc:
-        return 2, {"schema": SCHEMA, "command": spec.command, "error": str(exc)}
+    except (InputError, WordError) as exc:  # malformed input
+        return 2, _error_report(spec.command, exc)
     except (FieldError, SL2Error, SurfaceError, PlanarError, FareyError) as exc:
-        return 1, {"schema": SCHEMA, "command": spec.command, "error": str(exc)}
+        return 1, _error_report(spec.command, exc)  # mathematical rejection
 
 
 def _dump(report):
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(prog="sl2trace", description=__doc__)
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argv as an InputError instead of usage text and exit."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+@functools.cache
+def _parser():
+    parser = _ArgumentParser(prog="sl2trace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
@@ -334,42 +374,44 @@ def main(argv=None):
         p.add_argument("--json", help="inline JSON payload")
         p.add_argument("--output", help="write the report here instead of stdout")
         if name == "exceptional":
-            p.add_argument("--n", type=int, default=5)
+            p.add_argument("--n", type=int, default=5, help="boundary components, 5 or 6")
         if name == "identities":
-            p.add_argument("--samples", type=int, default=100)
-    args = parser.parse_args(argv)
+            p.add_argument("--samples", type=int, default=100, help=f"1..{SAMPLES_MAX}")
+    return parser
 
-    payload = None
-    if getattr(args, "input", None):
-        try:
+
+def _read_job(args):
+    try:
+        if args.input:
             with open(args.input, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            sys.stdout.write(_dump({"schema": SCHEMA, "error": f"bad input: {exc}"}))
-            return 2
-    elif getattr(args, "json", None):
-        try:
-            payload = json.loads(args.json)
-        except json.JSONDecodeError as exc:
-            sys.stdout.write(_dump({"schema": SCHEMA, "error": f"bad input: {exc}"}))
-            return 2
+        else:
+            payload = json.loads(args.json) if args.json else None
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"bad input: {exc}") from exc
+    # --n and --samples exist only on their subcommands; JobSpec has defaults
+    flags = {k: v for k, v in vars(args).items() if k in JobSpec.__dataclass_fields__}
+    return JobSpec(payload=payload, **flags)
 
-    spec = JobSpec(
-        command=args.command,
-        field=args.field,
-        seed=args.seed,
-        jobs=args.jobs,
-        payload=payload,
-        n=getattr(args, "n", 5),
-        samples=getattr(args, "samples", 100),
-    )
-    code, report = run(spec)
+
+def main(argv=None):
+    """Run the job argv names; prints one JSON report (or writes it to
+    --output) and returns the exit code.  Only -h exits instead."""
+    args = None
+    try:
+        args = _parser().parse_args(argv)
+        code, report = run(_read_job(args))
+    except InputError as exc:
+        code, report = 2, _error_report(getattr(args, "command", None), exc)
     text = _dump(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if args is not None and args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:
+            code, text = 2, _dump(_error_report(args.command, f"bad output: {exc}"))
+    sys.stdout.write(text)
     return code
 
 

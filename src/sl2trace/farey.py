@@ -23,6 +23,8 @@ class Slope:
 
     def __post_init__(self):
         p, q = self.p, self.q
+        if q > 0 and math.gcd(p, q) == 1:
+            return
         if q == 0 and p == 0:
             raise FareyError("0/0 is not a slope")
         g = math.gcd(abs(p), abs(q))
@@ -45,10 +47,6 @@ class Slope:
     def vector(self):
         return (self.p, self.q)
 
-    @property
-    def is_infinity(self):
-        return self.q == 0
-
 
 INF = Slope(1, 0)
 ZERO = Slope(0, 1)
@@ -56,13 +54,9 @@ ONE = Slope(1, 1)
 BASE_TRIANGLE = (ZERO, INF, ONE)
 
 
-def _det(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def is_neighbor(r, s):
     """Modular relation: |p q' - p' q| = 1."""
-    return abs(_det(r.vector(), s.vector())) == 1
+    return abs(r.p * s.q - r.q * s.p) == 1
 
 
 def complete_triangle(r, s):
@@ -89,11 +83,14 @@ class FareyStep:
     new: Slope
 
     def __post_init__(self):
-        for x, y in [(self.a, self.b), (self.a, self.old), (self.b, self.old),
-                     (self.a, self.new), (self.b, self.new)]:
-            if not is_neighbor(x, y):
+        a, b, old, new = self.a, self.b, self.old, self.new
+        for x, y in ((a, b), (a, old), (b, old), (a, new), (b, new)):
+            if abs(x.p * y.q - x.q * y.p) != 1:
                 raise FareyError("step is not a quadrilateral")
-        if {self.old, self.new} != set(complete_triangle(self.a, self.b)):
+        # a and b are a basis of Z^2, so the slopes neighboring both are
+        # exactly the two completions a + b and a - b: old and new flank
+        # the edge iff they differ
+        if old == new:
             raise FareyError("old/new do not flank the shared edge")
 
     def to_json(self):
@@ -117,33 +114,30 @@ def farey_walk(target):
         return []
     steps = []
     t = target.vector()
+    # vectors drive the descent ((-1, 0) is -oo); the *_s names hold
+    # their slopes, so each step builds only the mediant's Slope
     if target.p < 0:
+        lo, hi, med = (-1, 0), (0, 1), (-1, 1)
+        lo_s, hi_s = INF, ZERO
         steps.append(FareyStep(ZERO, INF, ONE, Slope(-1, 1)))
-        lo, hi, third = (-1, 0), (0, 1), (1, 0)
-        med = (-1, 1)
-        if target == Slope(-1, 1):
-            return steps
     elif _lt(t, (1, 1)):
-        lo, hi, third = (0, 1), (1, 1), (1, 0)
-        med = (1, 2)
+        lo, hi, med = (0, 1), (1, 1), (1, 2)
+        lo_s, hi_s = ZERO, ONE
         steps.append(FareyStep(ZERO, ONE, INF, Slope(1, 2)))
-        if target == Slope(1, 2):
-            return steps
     else:
-        lo, hi, third = (1, 1), (1, 0), (0, 1)
-        med = (2, 1)
+        lo, hi, med = (1, 1), (1, 0), (2, 1)
+        lo_s, hi_s = ONE, INF
         steps.append(FareyStep(ONE, INF, ZERO, Slope(2, 1)))
-        if target == Slope(2, 1):
-            return steps
-    while True:
+    med_s = steps[-1].new
+    while med != t:
         if _lt(t, med):
-            lo, hi, third = lo, med, hi
+            hi, hi_s, third_s = med, med_s, hi_s
         else:
-            lo, hi, third = med, hi, lo
+            lo, lo_s, third_s = med, med_s, lo_s
         med = (lo[0] + hi[0], lo[1] + hi[1])
-        steps.append(FareyStep(Slope(*lo), Slope(*hi), Slope(*third), Slope(*med)))
-        if Slope(*med) == target:
-            return steps
+        med_s = Slope(*med)
+        steps.append(FareyStep(lo_s, hi_s, third_s, med_s))
+    return steps
 
 
 def psl2z_act(matrix, r):

@@ -309,11 +309,6 @@ def _reduce_step(letters):
     return TracePolynomial.variable(tuple(letters))
 
 
-def eval_trace_poly(poly, assignment):
-    """Exact evaluation of a trace polynomial on a variable assignment."""
-    return poly.evaluate(assignment)
-
-
 def trace_of_word_direct(rep, word):
     """Brute-force oracle: multiply the matrices, take the trace."""
     letters = word.letters if isinstance(word, Word) else Word(word).letters

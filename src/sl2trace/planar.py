@@ -83,16 +83,6 @@ def product_word_rev(i):
 _ALPHA_KEY = {1: "12", 2: "23", 3: "34", 4: "123", 5: "234"}
 
 
-@dataclass
-class CurveAtlas05:
-    """Word table for the pentagon, its boundary classes and products."""
-
-    pentagon: tuple = tuple(pentagon_word(i) for i in range(1, 6))
-    boundary: tuple = tuple(boundary_word(i) for i in range(1, 6))
-    products: tuple = tuple(product_word(i) for i in range(1, 6))
-    products_rev: tuple = tuple(product_word_rev(i) for i in range(1, 6))
-
-
 def pentagon_relations_check(rep):
     """Trace-level validation of the atlas word table on a rep.
 

@@ -534,21 +534,6 @@ def characteristic(ctx):
     return ctx.base.characteristic
 
 
-def arith(op, a, b=None):
-    """Dispatch field arithmetic by name: add, sub, mul, div, neg."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "neg":
-        return -a
-    raise FieldError(f"unknown arith op {op!r}")
-
-
 def solve_quadratic(ctx, a, b):
     """Both roots of x^2 + a x + b = 0, extending the tower if needed.
 

@@ -141,22 +141,6 @@ class Line:
         return (nu * self.v - nv * self.u).is_zero()
 
 
-def mat_ops(op, *args):
-    """Dispatch: mul, inverse, trace, commutator."""
-    if op == "mul":
-        m = args[0]
-        for other in args[1:]:
-            m = m * other
-        return m
-    if op == "inverse":
-        return args[0].inverse()
-    if op == "trace":
-        return args[0].trace()
-    if op == "commutator":
-        return args[0].commutator(args[1])
-    raise SL2Error(f"unknown mat op {op!r}")
-
-
 def delta(am, bm):
     """tr^2 A + tr^2 B + tr^2 AB - trA trB trAB - 4; zero iff <A,B> reducible."""
     ta, tb, tab = am.trace(), bm.trace(), (am * bm).trace()

@@ -245,9 +245,3 @@ def test_char_point_length_check():
     with pytest.raises(WordError):
         CharPoint3((1, 2, 3))
 
-
-def test_eval_trace_poly_alias():
-    from sl2trace.fricke import eval_trace_poly
-
-    p = reduce_trace_word(Word((1, 2)))
-    assert eval_trace_poly(p, {(1, 2): 7}) == 7

@@ -10,7 +10,6 @@ from sl2trace.qfield import (
     RationalBase,
     TowerContext,
     TowerElement,
-    arith,
     base_from_spec,
     characteristic,
     solve_quadratic,
@@ -25,9 +24,9 @@ def test_base_rational_arith():
     ctx = q_ctx()
     half = ctx.from_rational(1, 2)
     third = ctx.from_rational(1, 3)
-    assert arith("add", half, third) == ctx.from_rational(5, 6)
-    assert arith("mul", half, third) == ctx.from_rational(1, 6)
-    assert arith("neg", half) == ctx.from_rational(-1, 2)
+    assert half + third == ctx.from_rational(5, 6)
+    assert half * third == ctx.from_rational(1, 6)
+    assert -half == ctx.from_rational(-1, 2)
 
 
 def test_characteristic():
@@ -40,13 +39,13 @@ def test_mixed_context_rejected():
     a = q_ctx().one
     b = q_ctx().one
     with pytest.raises(FieldError):
-        arith("add", a, b)
+        a + b
 
 
 def test_division_by_zero():
     ctx = q_ctx()
     with pytest.raises(FieldError):
-        arith("div", ctx.one, ctx.zero)
+        ctx.one / ctx.zero
 
 
 def test_sqrt5_defining_relation():

@@ -15,7 +15,6 @@ from sl2trace.sl2 import (
     gm_reducibility_witness,
     is_reducible_family,
     is_reducible_pair,
-    mat_ops,
     realize_triple,
 )
 
@@ -43,7 +42,7 @@ def test_det_checked():
 def test_inverse_adjugate():
     ctx = q_ctx()
     m = Mat2.from_ints(ctx, 1, 1, 0, 1)
-    assert mat_ops("inverse", m) == Mat2.from_ints(ctx, 1, -1, 0, 1)
+    assert m.inverse() == Mat2.from_ints(ctx, 1, -1, 0, 1)
     assert m * m.inverse() == Mat2.identity(ctx)
 
 
@@ -51,14 +50,14 @@ def test_trace_product():
     ctx = q_ctx()
     u = Mat2.from_ints(ctx, 1, 1, 0, 1)
     l = Mat2.from_ints(ctx, 1, 0, 1, 1)
-    assert mat_ops("trace", u * l) == ctx.from_int(3)
+    assert (u * l).trace() == ctx.from_int(3)
 
 
 def test_commuting_diag_commutator_trace():
     ctx = q_ctx()
     a = Mat2(ctx.from_int(2), ctx.zero, ctx.zero, ctx.from_rational(1, 2))
     b = Mat2(ctx.from_int(3), ctx.zero, ctx.zero, ctx.from_rational(1, 3))
-    assert mat_ops("commutator", a, b).trace() == ctx.from_int(2)
+    assert a.commutator(b).trace() == ctx.from_int(2)
 
 
 def test_delta_examples():
