@@ -45,6 +45,7 @@ CERTIFY_N_MAX = 8
 WORD_MAX_LETTERS = 16  # after free reduction
 WORD_MAX_GENERATOR = 5
 SAMPLES_MAX = 1000
+SLOPE_MAX_WALK = 20000  # sum of partial quotients: a Farey walk's length
 
 
 class InputError(ValueError):
@@ -70,7 +71,8 @@ def _read_base(spec):
     try:
         return base_from_spec(spec.field)
     except ValueError as exc:  # FieldError, or int() of "fp:zz"
-        raise InputError(f"bad field spec {spec.field!r}: expected q or fp:<prime>") from exc
+        raise InputError(
+            f"bad field spec {spec.field!r}: expected q or fp:<prime below 2^31>") from exc
 
 
 def _ctx(spec):
@@ -111,6 +113,18 @@ def _read_int(item, what, lo=None, hi=None):
     if (lo is not None and value < lo) or (hi is not None and value > hi):
         raise InputError(f"{what} must be in {lo}..{hi}, got {value}")
     return value
+
+
+def _read_slope(text):
+    """A slope whose Farey walk has at most SLOPE_MAX_WALK steps."""
+    slope = _decode(Slope.parse, text, "slope")
+    p, q, length = abs(slope.p), slope.q, 0
+    while q:  # Euclid; the walk length is the sum of the partial quotients
+        length += p // q
+        p, q = q, p % q
+    if length > SLOPE_MAX_WALK:
+        raise InputError(f"slope {text!r} has walk length {length}, over {SLOPE_MAX_WALK}")
+    return slope
 
 
 def _read_word(payload):
@@ -196,7 +210,7 @@ def _run_variety(spec):
 def _run_propagate(spec):
     ctx = _ctx(spec)
     surface = _get(spec.payload, "surface")
-    slopes = [_decode(Slope.parse, s, "slope")
+    slopes = [_read_slope(s)
               for s in (_get(spec.payload, "slopes", list) if "slopes" in spec.payload else ())]
     if surface == "sigma11":
         tf = tf11_extend(*_read_scalars(ctx, spec.payload, "triangle", 3))
@@ -366,7 +380,7 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--field", default="q", help="q or fp:<prime>")
+        p.add_argument("--field", default="q", help="q or fp:<prime below 2^31>")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted for interface compatibility; execution is serial")

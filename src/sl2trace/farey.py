@@ -5,6 +5,7 @@ Christoffel word map for slopes on the once-punctured torus."""
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .fricke import Word
@@ -66,32 +67,16 @@ def complete_triangle(r, s):
         raise FareyError(f"{r} and {s} are not neighbors")
     rp, rq = r.vector()
     sp, sq = s.vector()
-    out = (Slope(rp + sp, rq + sq), Slope(rp - sp, rq - sq))
-    for t in out:
-        assert is_neighbor(r, t) and is_neighbor(s, t)
-    return out
+    # det(r, r +- s) = det(r, s) = +-1: both neighbor r and s
+    return (Slope(rp + sp, rq + sq), Slope(rp - sp, rq - sq))
 
 
-@dataclass(frozen=True)
-class FareyStep:
+class FareyStep(namedtuple("FareyStep", "a b old new")):
     """Quadrilateral step: (a, b, old) is a visited triangle and new is
-    the other completion of the edge (a, b)."""
+    the other completion of the edge (a, b).  Built only by `farey_walk`,
+    whose Stern-Brocot descent makes every step a quadrilateral."""
 
-    a: Slope
-    b: Slope
-    old: Slope
-    new: Slope
-
-    def __post_init__(self):
-        a, b, old, new = self.a, self.b, self.old, self.new
-        for x, y in ((a, b), (a, old), (b, old), (a, new), (b, new)):
-            if abs(x.p * y.q - x.q * y.p) != 1:
-                raise FareyError("step is not a quadrilateral")
-        # a and b are a basis of Z^2, so the slopes neighboring both are
-        # exactly the two completions a + b and a - b: old and new flank
-        # the edge iff they differ
-        if old == new:
-            raise FareyError("old/new do not flank the shared edge")
+    __slots__ = ()
 
     def to_json(self):
         return [str(self.a), str(self.b), str(self.old), str(self.new)]

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .qfield import characteristic, solve_quadratic
-from .sl2 import Mat2, Rep
+from .sl2 import Mat2, Rep, diagonalize_family
 from .farey import Slope
 from .fricke import TracePolynomial, Word, reduce_trace_word, subset_trace_assignment
 from .surfchar import TF04, sigma03_check, tf04_realize, tf04_reducible
@@ -513,60 +513,38 @@ def _match_diagonal_pairs(p1, p2, q1, q2):
 
 def _glue_rotation(data, r):
     """Rank-4 rep from the two sides of the rotation-r pentagon."""
-    ctx = data.ctx
     tf_x = data.side_x(r)
     tf_y = data.side_y(r)
     for name, tf in (("X", tf_x), ("Y", tf_y)):
         res = tf.residual()
         if not res.is_zero():
             return GlueVerdict("rejected", detail=(name, res))
-    middle = sigma03_check(*data.middle_triple(r))
-    if not middle.reducible:
-        rep_x = tf04_realize(tf_x)  # images of x_{4+r}, x_{5+r}, x_{1+r}
-        rep_y = tf04_realize(tf_y)  # images of x_{2+r}, x_{3+r}, x_{4+r}
-        z1, z2, z3 = rep_x.generators
-        w1, w2, w3 = rep_y.generators
-        p1, p2 = (z1 * z2 * z3).inverse(), z1
-        q1, q2 = w1 * w2, w3
-        s = conjugate_pair_onto(p1, p2, q1, q2)
-        si = s.inverse()
-        names = {
-            (4 + r - 1) % 5 + 1: s * z1 * si,
-            (5 + r - 1) % 5 + 1: s * z2 * si,
-            (1 + r - 1) % 5 + 1: s * z3 * si,
-            (2 + r - 1) % 5 + 1: w1,
-            (3 + r - 1) % 5 + 1: w2,
-        }
-        if names[(4 + r - 1) % 5 + 1] != w3:
-            raise PlanarError("glued images disagree on the shared pants")
-        rep = Rep([names[1], names[2], names[3], names[4]])
-        if rep.image(_X5) != names[5]:
-            raise PlanarError("glued rep violates the boundary relation")
-        return GlueVerdict("rep", rep=rep)
-    if tf04_reducible(tf_x) and tf04_reducible(tf_y):
-        from .sl2 import diagonalize_family
-
-        dx = diagonalize_family(tf04_realize(tf_x).generators)
-        dy = diagonalize_family(tf04_realize(tf_y).generators)
-        p1, p2 = (dx[0] * dx[1] * dx[2]).inverse(), dx[0]
-        q1, q2 = dy[0] * dy[1], dy[2]
-        s = _match_diagonal_pairs(p1, p2, q1, q2)
-        si = s.inverse()
-        names = {
-            (4 + r - 1) % 5 + 1: s * dx[0] * si,
-            (5 + r - 1) % 5 + 1: s * dx[1] * si,
-            (1 + r - 1) % 5 + 1: s * dx[2] * si,
-            (2 + r - 1) % 5 + 1: dy[0],
-            (3 + r - 1) % 5 + 1: dy[1],
-        }
-        if names[(4 + r - 1) % 5 + 1] != dy[2]:
-            raise PlanarError("diagonal gluing mismatch on shared pants")
-        rep = Rep([names[1], names[2], names[3], names[4]])
-        if rep.image(_X5) != names[5]:
-            raise PlanarError("glued rep violates the boundary relation")
-        return GlueVerdict("rep", rep=rep)
-    return GlueVerdict("exceptional-obstruction",
-                       detail="middle pants reducible but a side is irreducible")
+    if not sigma03_check(*data.middle_triple(r)).reducible:
+        xs = tf04_realize(tf_x).generators  # images of x_{4+r}, x_{5+r}, x_{1+r}
+        ys = tf04_realize(tf_y).generators  # images of x_{2+r}, x_{3+r}, x_{4+r}
+        match = conjugate_pair_onto
+    elif tf04_reducible(tf_x) and tf04_reducible(tf_y):
+        xs = diagonalize_family(tf04_realize(tf_x).generators)
+        ys = diagonalize_family(tf04_realize(tf_y).generators)
+        match = _match_diagonal_pairs
+    else:
+        return GlueVerdict("exceptional-obstruction",
+                           detail="middle pants reducible but a side is irreducible")
+    s = match((xs[0] * xs[1] * xs[2]).inverse(), xs[0], ys[0] * ys[1], ys[2])
+    si = s.inverse()
+    names = {
+        (4 + r - 1) % 5 + 1: s * xs[0] * si,
+        (5 + r - 1) % 5 + 1: s * xs[1] * si,
+        (1 + r - 1) % 5 + 1: s * xs[2] * si,
+        (2 + r - 1) % 5 + 1: ys[0],
+        (3 + r - 1) % 5 + 1: ys[1],
+    }
+    if names[(4 + r - 1) % 5 + 1] != ys[2]:
+        raise PlanarError("glued images disagree on the shared pants")
+    rep = Rep([names[1], names[2], names[3], names[4]])
+    if rep.image(_X5) != names[5]:
+        raise PlanarError("glued rep violates the boundary relation")
+    return GlueVerdict("rep", rep=rep)
 
 
 def glue_sigma05(data):

@@ -10,6 +10,8 @@ base, so structural equality is field equality.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 
@@ -19,6 +21,9 @@ class FieldError(ValueError):
 
 # ---------------------------------------------------------------------------
 # base fields
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # the scalar grammar over Q
+PRIME_MAX = 1 << 31  # trial division below it takes at most 46 341 steps
 
 
 class RationalBase:
@@ -58,10 +63,16 @@ class RationalBase:
         return None
 
     def parse(self, s):
+        if not _RATIONAL.fullmatch(s):
+            raise FieldError(f"expected an integer or p/q, got {s!r}")
         return Fraction(s)
 
     def fmt(self, x):
-        return f"{x.numerator}/{x.denominator}"
+        try:
+            return f"{x.numerator}/{x.denominator}"
+        except ValueError:  # str() refuses integers past the interpreter's digit limit
+            raise FieldError(
+                f"a result has more than {sys.get_int_max_str_digits()} digits") from None
 
     def spec(self):
         return "q"
@@ -75,8 +86,8 @@ class RationalBase:
 
 class PrimeBase:
     def __init__(self, p):
-        if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
-            raise FieldError(f"{p} is not prime")
+        if not 2 <= p < PRIME_MAX or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+            raise FieldError(f"{p} is not a prime below 2^31")
         self.p = p
         self.characteristic = p
         self.zero = 0

@@ -27,14 +27,14 @@ class Mat2:
 
     @classmethod
     def identity(cls, ctx):
-        return cls(ctx.one, ctx.zero, ctx.zero, ctx.one)
+        return _mat2(ctx.one, ctx.zero, ctx.zero, ctx.one)
 
     @classmethod
     def from_ints(cls, ctx, a, b, c, d):
         return cls(ctx.from_int(a), ctx.from_int(b), ctx.from_int(c), ctx.from_int(d))
 
     def __mul__(self, other):
-        return Mat2(
+        return _mat2(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -42,10 +42,10 @@ class Mat2:
         )
 
     def inverse(self):
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        return _mat2(self.d, -self.b, -self.c, self.a)
 
     def __neg__(self):
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        return _mat2(-self.a, -self.b, -self.c, -self.d)
 
     def trace(self):
         return self.a + self.d
@@ -83,6 +83,14 @@ class Mat2:
 
     def to_json(self):
         return [e.to_json() for e in self.entries()]
+
+
+def _mat2(a, b, c, d):
+    """Mat2 without the determinant check, for the identity and for
+    products, inverses and negations of Mat2s, whose determinant is 1."""
+    m = object.__new__(Mat2)
+    m.a, m.b, m.c, m.d, m.ctx = a, b, c, d, a.ctx
+    return m
 
 
 class Rep:

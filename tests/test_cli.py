@@ -200,6 +200,12 @@ PROBES = [
     ["realize", "--json", json.dumps({"traces": "123456"})],
     ["realize", "--field", "zz", "--json", json.dumps({"traces": ["2"] * 6})],
     ["realize", "--field", "fp:4", "--json", json.dumps({"traces": ["2"] * 6})],
+    # past the caps on field primes (2^31), q scalars ([+-]digits(/digits)?) and walks (20000)
+    ["realize", "--field", "fp:2305843009213693951", "--json", json.dumps({"traces": ["2"] * 6})],
+    ["variety", "--json", json.dumps({"point": ["1e999999999"] + ["0"] * 6})],
+    ["variety", "--json", json.dumps({"point": ["0.5"] + ["0"] * 6})],
+    ["propagate", "--json", payload_with(SIGMA11, slopes=["1/100000000000000"])],
+    ["propagate", "--json", payload_with(SIGMA11, slopes=["1/20001"])],
     ["realize", "--bogus"],
     ["exceptional", "--n", "abc"],
     ["exceptional", "--n", "4"],
@@ -216,6 +222,22 @@ def test_malformed_argv_gives_one_json_line_exit_2(argv):
     assert code == 2
     assert out.count("\n") == 1
     assert "error" in json.loads(out)
+
+
+# Results with an integer too long for str() (sys.get_int_max_str_digits()).
+TOO_LARGE = [
+    ["variety", "--json", json.dumps({"point": ["1/" + "9" * 3000] + ["0"] * 6})],
+    ["realize", "--json", json.dumps({"traces": ["1" + "0" * 2999] + ["3"] * 5})],
+    ["propagate", "--json", payload_with(SIGMA11, slopes=["1/20000"])],
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE, ids=lambda argv: argv[0])
+def test_result_too_large_to_print_exit_1(argv):
+    code, out = main_in_process(argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    assert "digits" in json.loads(out)["error"]
 
 
 def test_output_into_missing_directory_exit_2(tmp_path):

@@ -72,7 +72,10 @@ def test_farey_walk_replayable_everywhere():
         seen = set(BASE_TRIANGLE)
         for s in steps:
             assert {s.a, s.b, s.old} <= seen
-            assert is_neighbor(s.a, s.b)
+            # every step is a quadrilateral: FareyStep does not check this
+            for x, y in ((s.a, s.b), (s.a, s.old), (s.b, s.old), (s.a, s.new), (s.b, s.new)):
+                assert is_neighbor(x, y)
+            assert s.old != s.new
             assert {s.old, s.new} == set(complete_triangle(s.a, s.b))
             seen.add(s.new)
         if target not in BASE_TRIANGLE:

@@ -208,6 +208,18 @@ def test_base_from_spec():
     assert base_from_spec("fp:7").characteristic == 7
     with pytest.raises(FieldError):
         base_from_spec("fp:6")
+    assert base_from_spec("fp:2147483647").characteristic == 2**31 - 1
+    with pytest.raises(FieldError):  # prime, but past the trial-division cap
+        base_from_spec("fp:2305843009213693951")
+
+
+def test_rational_scalar_grammar():
+    ctx = q_ctx()
+    assert [ctx.parse(s) for s in ("12", "-3/4", "+6/8")] == [
+        ctx.from_int(12), ctx.from_rational(-3, 4), ctx.from_rational(3, 4)]
+    for s in ("1e5", "0.5", ".5", " 3", "3 / 4", "1_000", "3/-4", ""):
+        with pytest.raises(FieldError):
+            ctx.parse(s)
 
 
 @settings(max_examples=60, deadline=None)

@@ -39,6 +39,37 @@ def test_det_checked():
         Mat2.from_ints(ctx, 1, 0, 0, 2)
 
 
+def _tower_height_2():
+    ctx = q_ctx()
+    ctx.adjoin_sqrt(ctx.from_int(2))
+    ctx.adjoin_sqrt(ctx.from_int(3))
+    return ctx
+
+
+@pytest.mark.parametrize("make_ctx", [q_ctx, lambda: TowerContext(PrimeBase(5)), _tower_height_2],
+                         ids=["q", "fp5", "tower2"])
+def test_derived_matrices_have_det_1(make_ctx):
+    # Mat2 products, inverses and negations skip the determinant check
+    rng = random.Random(13)
+    ctx = make_ctx()
+    scalars = [ctx.generator(k) for k in range(1, len(ctx.levels) + 1)] + [ctx.one]
+
+    def entry():
+        return sum((ctx.from_int(rng.randint(-3, 3)) * g for g in scalars), ctx.zero)
+
+    def random_mat():
+        while True:
+            a, b, c = entry(), entry(), entry()
+            if not a.is_zero():
+                return Mat2(a, b, c, (ctx.one + b * c) / a)
+
+    for _ in range(10):
+        x, y = random_mat(), random_mat()
+        for m in (x * y, x.inverse(), -x, x.conjugate_by(y), x.commutator(y),
+                  Rep([x, y]).image((1, -2, 2, 1))):
+            assert m.a * m.d - m.b * m.c == ctx.one
+
+
 def test_inverse_adjugate():
     ctx = q_ctx()
     m = Mat2.from_ints(ctx, 1, 1, 0, 1)
