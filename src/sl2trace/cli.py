@@ -20,7 +20,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .qfield import FieldError, TowerContext, base_from_spec
+from .qfield import FieldError, TowerContext, base_from_spec, characteristic
 from .sl2 import Mat2, SL2Error, realize_triple
 from .farey import FareyError, Slope
 from .fricke import Word, WordError, reduce_trace_word, variety_residual
@@ -46,6 +46,10 @@ WORD_MAX_LETTERS = 16  # after free reduction
 WORD_MAX_GENERATOR = 5
 SAMPLES_MAX = 1000
 SLOPE_MAX_WALK = 20000  # sum of partial quotients: a Farey walk's length
+# Over q each walk step adds about a seed's size to the values, so the walk
+# length times the seed size (its largest numerator or denominator
+# bit_length) is capped; 20000 steps from one-digit seeds (4 bits) fit.
+WALK_SEED_BITS_MAX = 4 * SLOPE_MAX_WALK
 
 
 class InputError(ValueError):
@@ -115,16 +119,33 @@ def _read_int(item, what, lo=None, hi=None):
     return value
 
 
-def _read_slope(text):
-    """A slope whose Farey walk has at most SLOPE_MAX_WALK steps."""
-    slope = _decode(Slope.parse, text, "slope")
-    p, q, length = abs(slope.p), slope.q, 0
-    while q:  # Euclid; the walk length is the sum of the partial quotients
-        length += p // q
-        p, q = q, p % q
-    if length > SLOPE_MAX_WALK:
-        raise InputError(f"slope {text!r} has walk length {length}, over {SLOPE_MAX_WALK}")
-    return slope
+def _read_slopes(payload):
+    """The optional slopes and the longest of their Farey walks; each walk
+    has at most SLOPE_MAX_WALK steps."""
+    slopes, walk = [], 0
+    for text in _get(payload, "slopes", list) if "slopes" in payload else ():
+        slope = _decode(Slope.parse, text, "slope")
+        p, q, length = abs(slope.p), slope.q, 0
+        while q:  # Euclid; the walk length is the sum of the partial quotients
+            length += p // q
+            p, q = q, p % q
+        if length > SLOPE_MAX_WALK:
+            raise InputError(f"slope {text!r} has walk length {length}, over {SLOPE_MAX_WALK}")
+        slopes.append(slope)
+        walk = max(walk, length)
+    return slopes, walk
+
+
+def _read_seeds(ctx, payload, key, count, walk):
+    """Seed scalars of a walk of `walk` steps, within WALK_SEED_BITS_MAX over q."""
+    seeds = _read_scalars(ctx, payload, key, count)
+    if characteristic(ctx) == 0:
+        bits = max(n.bit_length() for v in seeds for x in v.coords
+                   for n in (x.numerator, x.denominator))
+        if walk * bits > WALK_SEED_BITS_MAX:
+            raise InputError(f"walk length {walk} x seed size {bits} bits is over "
+                             f"{WALK_SEED_BITS_MAX}")
+    return seeds
 
 
 def _read_word(payload):
@@ -210,15 +231,14 @@ def _run_variety(spec):
 def _run_propagate(spec):
     ctx = _ctx(spec)
     surface = _get(spec.payload, "surface")
-    slopes = [_read_slope(s)
-              for s in (_get(spec.payload, "slopes", list) if "slopes" in spec.payload else ())]
+    slopes, walk = _read_slopes(spec.payload)
     if surface == "sigma11":
-        tf = tf11_extend(*_read_scalars(ctx, spec.payload, "triangle", 3))
+        tf = tf11_extend(*_read_seeds(ctx, spec.payload, "triangle", 3, walk))
         values = [[str(s), tf.query(s).to_json()] for s in slopes]
         return 0, _report(spec, {"boundary_value": tf.boundary.to_json(), "values": values}, ctx)
     if surface == "sigma04":
-        boundary = _read_scalars(ctx, spec.payload, "boundary", 4)
-        tf = TF04(boundary, _read_scalars(ctx, spec.payload, "triangle", 3))
+        boundary = _read_seeds(ctx, spec.payload, "boundary", 4, walk)
+        tf = TF04(boundary, _read_seeds(ctx, spec.payload, "triangle", 3, walk))
         res = tf.residual()
         if not res.is_zero():
             return 1, _report(spec, {"rejected": "seed residual", "residual": res.to_json()}, ctx)

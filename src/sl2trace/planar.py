@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass
 
 from .qfield import characteristic, solve_quadratic
-from .sl2 import Mat2, Rep, diagonalize_family
+from .sl2 import Mat2, Rep, delta_values, diagonalize_family
 from .farey import Slope
 from .fricke import TracePolynomial, Word, reduce_trace_word, subset_trace_assignment
-from .surfchar import TF04, sigma03_check, tf04_realize, tf04_reducible
+from .surfchar import TF04, sigma03_check, tf04_realize, tf04_residual
 
 
 class PlanarError(ValueError):
@@ -326,7 +326,7 @@ def elimination_45(a2, a5, b1, p, p_primed):
     ctx = a2.ctx
     four = ctx.from_int(4)
     two = ctx.from_int(2)
-    delta = a2 * a2 + a5 * a5 + b1 * b1 - a2 * a5 * b1 - four
+    delta = delta_values(a2, a5, b1)
     if delta.is_zero():
         raise PlanarError("reducible middle pair: delta = 0")
 
@@ -385,7 +385,7 @@ def elimination_symbolic_identity():
     one = TracePolynomial.constant(1)
     two = TracePolynomial.constant(2)
     four = TracePolynomial.constant(4)
-    delta = a2 * a2 + a5 * a5 + b1 * b1 - a2 * a5 * b1 - four
+    delta = delta_values(a2, a5, b1)
     bmat = (
         (b1, -two * one, a2),
         (-two * one, b1, -one * a5),
@@ -523,7 +523,7 @@ def _glue_rotation(data, r):
         xs = tf04_realize(tf_x).generators  # images of x_{4+r}, x_{5+r}, x_{1+r}
         ys = tf04_realize(tf_y).generators  # images of x_{2+r}, x_{3+r}, x_{4+r}
         match = conjugate_pair_onto
-    elif tf04_reducible(tf_x) and tf04_reducible(tf_y):
+    elif tf_x.reducible() and tf_y.reducible():
         xs = diagonalize_family(tf04_realize(tf_x).generators)
         ys = diagonalize_family(tf04_realize(tf_y).generators)
         match = _match_diagonal_pairs
@@ -597,7 +597,7 @@ def check_trace_function_05(data):
             return _compare_with_rep(data, verdict.rep)
     # every atlas middle pants is reducible
     tf_x, tf_y = data.side_x(0), data.side_y(0)
-    if tf04_reducible(tf_x) and tf04_reducible(tf_y):
+    if tf_x.reducible() and tf_y.reducible():
         verdict = _glue_rotation(data, 0)
         if verdict.kind == "rep":
             return _compare_with_rep(data, verdict.rep)
@@ -658,21 +658,6 @@ class PartitionTF:
                 return v
         raise PlanarError(f"no table value for subset {sorted(s)}")
 
-    def part_value(self, part):
-        return self.boundary[min(part) - 1] if len(part) == 1 else self.value(part)
-
-
-def _int_tf04_residual(b, u):
-    return (
-        u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[0] * u[1] * u[2]
-        + b[0] * b[0] + b[1] * b[1] + b[2] * b[2] + b[3] * b[3]
-        + b[0] * b[1] * b[2] * b[3]
-        - u[0] * (b[0] * b[1] + b[2] * b[3])
-        - u[1] * (b[1] * b[2] + b[0] * b[3])
-        - u[2] * (b[0] * b[2] + b[1] * b[3])
-        - 4
-    )
-
 
 def _partitions_into(parts, universe):
     """Set partitions of universe into exactly `parts` nonempty blocks."""
@@ -701,13 +686,6 @@ def _partitions_into(parts, universe):
     yield from rec(rest, [[first]])
 
 
-def _quad_constraint(tf_value, blocks):
-    t1, t2, t3, t4 = blocks
-    b = [tf_value(t) for t in blocks]
-    u = [tf_value(t1 | t2), tf_value(t2 | t3), tf_value(t1 | t3)]
-    return _int_tf04_residual(b, u)
-
-
 def exceptional_witness_partition(n, value_fn):
     """A 5-block partition whose restriction is one of the 16 exceptional
     functions on the 5-holed sphere, or None."""
@@ -732,31 +710,16 @@ def exceptional_witness_partition(n, value_fn):
 
 
 def exceptional_enumerate(n, char=0):
-    """All +-2 partition-type trace functions that are exceptional.
-
-    n = 5: the sixteen boundary assignments with product 32, extended by
-    the pair rule.  n >= 6: exhaustive constraint search over the finite
-    table space (every embedded 4-holed sphere must carry character data
-    and an exceptional 5-holed-sphere witness must embed).
+    """All +-2 partition-type trace functions that are exceptional, by an
+    exhaustive constraint search over the finite table space: every
+    embedded 4-holed sphere must carry character data and an exceptional
+    5-holed-sphere witness must embed.  At n = 5 these are the sixteen
+    boundary assignments with product 32, extended by the pair rule.
     """
     if char == 2:
         raise PlanarError("no exceptional trace functions in characteristic 2")
     if n < 5:
         raise PlanarError("exceptional trace functions need at least 5 boundary components")
-    if n == 5:
-        out = []
-        for bits in itertools.product((2, -2), repeat=5):
-            prod = 1
-            for v in bits:
-                prod *= v
-            if prod != 32:
-                continue
-            table = {}
-            for i in range(1, 6):
-                for j in range(i + 1, 6):
-                    table[frozenset((i, j))] = -bits[i - 1] * bits[j - 1] // 2
-            out.append(PartitionTF.build(5, bits, table))
-        return out
     return _search_pm2_family(n, char)
 
 
@@ -809,8 +772,8 @@ def _pm2_tables(n, boundary, system):
         for v in (2, -2):
             vals[pos] = v
             for a, b, c, d, e, f, g in constraints:
-                if _int_tf04_residual((vals[a], vals[b], vals[c], vals[d]),
-                                      (vals[e], vals[f], vals[g])):
+                if tf04_residual((vals[a], vals[b], vals[c], vals[d]),
+                                 (vals[e], vals[f], vals[g])):
                     break
             else:
                 dfs(pos + 1)
@@ -820,7 +783,7 @@ def _pm2_tables(n, boundary, system):
 
 
 def _search_pm2_family(n, char=0):
-    """Constraint search driving the n >= 6 enumeration; empty in
+    """Constraint search driving the n >= 5 enumeration; empty in
     characteristic 2 (the candidate value set collapses).
 
     The result set is closed under even sign flips.  Flipping the boundary
@@ -899,21 +862,22 @@ def certify_exceptional(tf, ctx=None):
         raise PlanarError("exceptional certificates need characteristic != 2")
     cert = {"n": tf.n}
     quads_ok = all(
-        _quad_constraint(tf.part_value, blocks) == 0
-        for blocks in _partitions_into(4, range(1, tf.n + 1))
+        tf04_residual((tf.value(t1), tf.value(t2), tf.value(t3), tf.value(t4)),
+                      (tf.value(t1 | t2), tf.value(t2 | t3), tf.value(t1 | t3))) == 0
+        for t1, t2, t3, t4 in _partitions_into(4, range(1, tf.n + 1))
     )
     cert["embedded_sigma04_pass"] = quads_ok
     if tf.n == 5:
         alpha_irr = True
         for s in itertools.combinations(range(1, 6), 2):
             i, j = s
-            v = _int_delta(tf.boundary[i - 1], tf.boundary[j - 1], tf.value(frozenset(s)))
+            v = delta_values(tf.boundary[i - 1], tf.boundary[j - 1], tf.value(frozenset(s)))
             if v == 0:
                 alpha_irr = False
         middle_red = True
         for i, j, k, l, m in _disjoint_pair_splits():
-            v = _int_delta(tf.value(frozenset((i, j))), tf.value(frozenset((k, l))),
-                           tf.boundary[m - 1])
+            v = delta_values(tf.value(frozenset((i, j))), tf.value(frozenset((k, l))),
+                             tf.boundary[m - 1])
             if v != 0:
                 middle_red = False
         cert["boundary_pants_irreducible"] = alpha_irr
@@ -925,25 +889,21 @@ def certify_exceptional(tf, ctx=None):
             (cert["embedded_sigma04_pass"], alpha_irr, middle_red, cert["glue_obstruction"])
         )
         return cert
-    witness = exceptional_witness_partition(tf.n, tf.part_value)
+    witness = exceptional_witness_partition(tf.n, tf.value)
     cert["witness_partition"] = None if witness is None else [sorted(b) for b in witness]
     if witness is None or not quads_ok:
         cert["exceptional"] = False
         return cert
-    sub_boundary = tuple(tf.part_value(b) for b in witness)
+    sub_boundary = tuple(tf.value(b) for b in witness)
     sub_table = {}
     for i in range(5):
         for j in range(i + 1, 5):
-            sub_table[frozenset((i + 1, j + 1))] = tf.part_value(witness[i] | witness[j])
+            sub_table[frozenset((i + 1, j + 1))] = tf.value(witness[i] | witness[j])
     sub = PartitionTF.build(5, sub_boundary, sub_table)
     sub_cert = certify_exceptional(sub, ctx)
     cert["witness_certificate"] = sub_cert
     cert["exceptional"] = quads_ok and sub_cert["exceptional"]
     return cert
-
-
-def _int_delta(a, b, c):
-    return a * a + b * b + c * c - a * b * c - 4
 
 
 def _disjoint_pair_splits():

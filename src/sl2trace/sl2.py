@@ -150,14 +150,16 @@ class Line:
 
 
 def delta(am, bm):
-    """tr^2 A + tr^2 B + tr^2 AB - trA trB trAB - 4; zero iff <A,B> reducible."""
-    ta, tb, tab = am.trace(), bm.trace(), (am * bm).trace()
-    return ta * ta + tb * tb + tab * tab - ta * tb * tab - am.ctx.from_int(4)
+    """Delta of trA, trB, trAB; zero iff <A,B> is reducible."""
+    return delta_values(am.trace(), bm.trace(), (am * bm).trace())
 
 
-def delta_values(t1, t2, t12):
-    ctx = t1.ctx
-    return t1 * t1 + t2 * t2 + t12 * t12 - t1 * t2 * t12 - ctx.from_int(4)
+def delta_values(x, y, z):
+    """The Fricke form x^2 + y^2 + z^2 - xyz - 4, for int, tower and
+    trace-polynomial values alike.  Zero iff a pair A, B with traces
+    x = trA, y = trB, z = trAB (or a pair of pants with boundary values
+    x, y, z) is reducible."""
+    return x * x + y * y + z * z - x * y * z - 4
 
 
 def eigenvalues(m):

@@ -71,7 +71,7 @@ class TF11:
     def __init__(self, v1, v2, v3):
         self.ctx = v1.ctx
         self.values = {ZERO: v1, INF: v2, ONE: v3}
-        self.boundary = v1 * v1 + v2 * v2 + v3 * v3 - v1 * v2 * v3 - self.ctx.from_int(2)
+        self.boundary = delta_values(v1, v2, v3) + 2
 
     def seed(self):
         return (self.values[ZERO], self.values[INF], self.values[ONE])
@@ -96,13 +96,11 @@ class TF11:
         return vals[slope]
 
     def reducible(self):
-        v1, v2, v3 = self.seed()
-        return (v1 * v1 + v2 * v2 + v3 * v3 - v1 * v2 * v3 - self.ctx.from_int(4)).is_zero()
+        return delta_values(*self.seed()).is_zero()
 
     def triangle_boundary_residual(self, a, b, c):
         """Boundary value recomputed from any triangle (conservation check)."""
-        va, vb, vc = self.query(a), self.query(b), self.query(c)
-        return va * va + vb * vb + vc * vc - va * vb * vc - self.ctx.from_int(2)
+        return delta_values(self.query(a), self.query(b), self.query(c)) + 2
 
 
 def tf11_extend(v1, v2, v3):
@@ -123,7 +121,9 @@ def tf11_realize(tf):
 
 
 # boundary pairs split off by a slope class, keyed by (p mod 2, q mod 2);
-# indices are 0-based into the boundary 4-tuple (x1, x2, x3, x1x2x3)
+# indices are 0-based into the boundary 4-tuple (x1, x2, x3, x1x2x3).
+# A Farey triangle has one slope in each class; the base triangle
+# (0/1, 1/0, 1/1) lists them in this order.
 PAIRING = {
     (0, 1): ((0, 1), (2, 3)),  # alpha1 = [x1 x2]
     (1, 0): ((1, 2), (0, 3)),  # alpha2 = [x2 x3]
@@ -131,31 +131,19 @@ PAIRING = {
 }
 
 
-def _pair_term(boundary, slope):
-    (i, j), (k, l) = PAIRING[(slope.p % 2, slope.q % 2)]
-    return boundary[i] * boundary[j] + boundary[k] * boundary[l]
-
-
-def tf04_residual_at(boundary, items):
-    """Character condition at any triangle, items = three (slope, value)
-    pairs; each value couples to the boundary pairing of its own slope."""
+def tf04_residual(boundary, triangle):
+    """The 4-holed-sphere character relation; zero iff the boundary values
+    and the triangle values (in PAIRING order) are character data.  Serves
+    int and tower values alike."""
     b1, b2, b3, b4 = boundary
-    ctx = b1.ctx
-    u1, u2, u3 = (v for _, v in items)
-    total = (
+    u1, u2, u3 = triangle
+    return (
         u1 * u1 + u2 * u2 + u3 * u3 + u1 * u2 * u3
         + b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4 + b1 * b2 * b3 * b4
-        - ctx.from_int(4)
-    )
-    for slope, v in items:
-        total = total - v * _pair_term(boundary, slope)
-    return total
-
-
-def tf04_seed_residual(boundary, triangle):
-    """Character condition for base-triangle seed data."""
-    return tf04_residual_at(
-        boundary, [(ZERO, triangle[0]), (INF, triangle[1]), (ONE, triangle[2])]
+        - u1 * (b1 * b2 + b3 * b4)
+        - u2 * (b2 * b3 + b1 * b4)
+        - u3 * (b1 * b3 + b2 * b4)
+        - 4
     )
 
 
@@ -165,14 +153,18 @@ class TF04:
 
     def __init__(self, boundary, triangle):
         self.ctx = boundary[0].ctx
-        self.boundary = tuple(boundary)
+        self.boundary = b = tuple(boundary)
         self.values = {ZERO: triangle[0], INF: triangle[1], ONE: triangle[2]}
+        # b_i b_j + b_k b_l for each slope class, the constant of its step
+        self.pair_terms = {
+            cls: b[i] * b[j] + b[k] * b[l] for cls, ((i, j), (k, l)) in PAIRING.items()
+        }
 
     def seed(self):
         return (self.values[ZERO], self.values[INF], self.values[ONE])
 
     def residual(self):
-        return tf04_seed_residual(self.boundary, self.seed())
+        return tf04_residual(self.boundary, self.seed())
 
     def query(self, slope):
         if slope not in self.values:
@@ -181,7 +173,7 @@ class TF04:
                     continue
                 self.values[step.new] = (
                     -self.values[step.a] * self.values[step.b]
-                    + _pair_term(self.boundary, step.new)
+                    + self.pair_terms[step.new.p % 2, step.new.q % 2]
                     - self.values[step.old]
                 )
         return self.values[slope]
@@ -191,7 +183,7 @@ class TF04:
         for step in steps:
             vals[step.new] = (
                 -vals[step.a] * vals[step.b]
-                + _pair_term(self.boundary, step.new)
+                + self.pair_terms[step.new.p % 2, step.new.q % 2]
                 - vals[step.old]
             )
         if slope not in vals:
@@ -199,19 +191,16 @@ class TF04:
         return vals[slope]
 
     def triangle_residual(self, a, b, c):
-        return tf04_residual_at(
-            self.boundary, [(a, self.query(a)), (b, self.query(b)), (c, self.query(c))]
-        )
+        """The character relation at the Farey triangle (a, b, c), in any order."""
+        by_class = {(s.p % 2, s.q % 2): self.query(s) for s in (a, b, c)}
+        if len(by_class) != 3:
+            raise SurfaceError(f"{a}, {b}, {c} is not a Farey triangle")
+        return tf04_residual(self.boundary, [by_class[cls] for cls in PAIRING])
 
     def restrictions(self):
         """The six pants value-triples (alpha_i with its flanking pairs)."""
-        out = []
-        tri = self.seed()
-        slopes = (ZERO, INF, ONE)
-        for idx, slope in enumerate(slopes):
-            for i, j in PAIRING[(slope.p % 2, slope.q % 2)]:
-                out.append((tri[idx], self.boundary[i], self.boundary[j]))
-        return out
+        return [(u, self.boundary[i], self.boundary[j])
+                for u, pairs in zip(self.seed(), PAIRING.values()) for i, j in pairs]
 
     def reducible(self):
         return all(sigma03_check(*triple).reducible for triple in self.restrictions())
@@ -248,10 +237,6 @@ def tf04_from_rep(rep):
     return TF04(boundary, triangle)
 
 
-def tf04_reducible(tf):
-    return tf.reducible()
-
-
 # ---------------------------------------------------------------------------
 # the +-2 lemma for the 4-holed sphere
 
@@ -277,7 +262,7 @@ def pm2_check(boundary, triangle):
     for v in (*boundary, *triangle):
         if v != two and v != m2:
             raise SurfaceError("pm2 analysis needs values in {2, -2}")
-    res = tf04_seed_residual(boundary, triangle)
+    res = tf04_residual(boundary, triangle)
     if not res.is_zero():
         return PM2Verdict(False, False, res)
     bprod = boundary[0] * boundary[1] * boundary[2] * boundary[3]

@@ -28,8 +28,8 @@ CASES = [
 
 def invoke(args):
     proc = subprocess.run(
-        [sys.executable, "-m", "sl2trace.cli", *args],
-        capture_output=True, text=True, cwd=ROOT,
+        [sys.executable, "-m", "sl2trace.cli", *args],  # found in src/, installed or not
+        capture_output=True, text=True, cwd=ROOT / "src",
     )
     return proc.returncode, proc.stdout
 
@@ -200,12 +200,16 @@ PROBES = [
     ["realize", "--json", json.dumps({"traces": "123456"})],
     ["realize", "--field", "zz", "--json", json.dumps({"traces": ["2"] * 6})],
     ["realize", "--field", "fp:4", "--json", json.dumps({"traces": ["2"] * 6})],
-    # past the caps on field primes (2^31), q scalars ([+-]digits(/digits)?) and walks (20000)
+    # past the caps on field primes (2^31), q scalars ([+-]digits(/digits)?), walks (20000)
+    # and, over q, walk length x seed bits (80000)
     ["realize", "--field", "fp:2305843009213693951", "--json", json.dumps({"traces": ["2"] * 6})],
     ["variety", "--json", json.dumps({"point": ["1e999999999"] + ["0"] * 6})],
     ["variety", "--json", json.dumps({"point": ["0.5"] + ["0"] * 6})],
     ["propagate", "--json", payload_with(SIGMA11, slopes=["1/100000000000000"])],
     ["propagate", "--json", payload_with(SIGMA11, slopes=["1/20001"])],
+    ["propagate", "--json", payload_with(
+        SIGMA11, triangle=["10000000000000000000000000000000000000000000000007", "3", "3"],
+        slopes=["1/20000"])],
     ["realize", "--bogus"],
     ["exceptional", "--n", "abc"],
     ["exceptional", "--n", "4"],

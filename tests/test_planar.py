@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -357,7 +358,15 @@ def test_results_closed_under_even_sign_flips(n):
 
 
 def test_search_reproduces_the_closed_form_n5():
-    assert _search_pm2_family(5) == exceptional_enumerate(5)
+    """The sixteen n = 5 functions: boundary product 32, pair value -b_i b_j / 2."""
+    closed_form = []
+    for bits in itertools.product((2, -2), repeat=5):
+        if math.prod(bits) != 32:
+            continue
+        table = {frozenset((i, j)): -bits[i - 1] * bits[j - 1] // 2
+                 for i, j in itertools.combinations(range(1, 6), 2)}
+        closed_form.append(PartitionTF.build(5, bits, table))
+    assert exceptional_enumerate(5) == closed_form
 
 
 @pytest.mark.parametrize("n", [5, 6])

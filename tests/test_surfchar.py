@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from sl2trace.qfield import PrimeBase, RationalBase, TowerContext
-from sl2trace.sl2 import Mat2, Rep
+from sl2trace.qfield import PrimeBase, RationalBase, TowerContext, base_from_spec, solve_quadratic
+from sl2trace.sl2 import Mat2, Rep, delta_values
 from sl2trace.farey import Slope, farey_walk, slope_word_torus, slopes_in_box
-from sl2trace.fricke import trace_of_word_direct
+from sl2trace.fricke import TracePolynomial, trace_of_word_direct
 from sl2trace.surfchar import (
     SurfaceError,
     half_product,
@@ -16,7 +16,7 @@ from sl2trace.surfchar import (
     tf04_extend,
     tf04_from_rep,
     tf04_realize,
-    tf04_reducible,
+    tf04_residual,
     tf11_extend,
     tf11_realize,
 )
@@ -37,6 +37,33 @@ def random_rep(rng, ctx, rank, bound=3):
         c = ctx.from_int(rng.randint(-bound, bound))
         gens.append(Mat2(ctx.one, b, c, ctx.one + b * c))
     return Rep(gens)
+
+
+# -- the Fricke form and the 4-holed-sphere relation, one definition each ----
+
+
+def test_identities_serve_int_tower_and_polynomial_values():
+    rng = random.Random(21)
+    x, y, z = (TracePolynomial.variable(k) for k in "xyz")
+    delta_poly = delta_values(x, y, z)
+    for spec in ("q", "fp:5", "fp:2"):
+        ctx = TowerContext(base_from_spec(spec))
+        w, _ = solve_quadratic(ctx, ctx.one, ctx.one)  # w^2 + w + 1 = 0: level 1
+        for _ in range(20):
+            ints3 = [rng.randint(-9, 9) for _ in range(3)]
+            want = delta_values(*ints3)
+            assert delta_poly.evaluate(dict(zip("xyz", ints3))) == want
+            assert delta_values(*ints(ctx, *ints3)) == ctx.from_int(want)
+            vals = [ctx.from_int(rng.randint(-9, 9)) + ctx.from_int(rng.randint(-9, 9)) * w
+                    for _ in range(3)]
+            a, b, c = vals
+            got = delta_values(*vals)
+            assert got == a * a + b * b + c * c - a * b * c - ctx.from_int(4)
+            assert got == delta_poly.evaluate(dict(zip("xyz", vals)))
+    ctx = q_ctx()
+    for bits in itertools.product((2, -2), repeat=7):
+        assert ctx.from_int(tf04_residual(bits[:4], bits[4:])) == tf04_residual(
+            ints(ctx, *bits[:4]), ints(ctx, *bits[4:]))
 
 
 # -- 3-holed sphere ----------------------------------------------------------
@@ -178,7 +205,7 @@ def test_tf04_identity_data():
     tf = tf04_extend(ints(ctx, 2, 2, 2, 2), ints(ctx, 2, 2, 2))
     for s in slopes_in_box(5):
         assert tf.query(s) == ctx.from_int(2)
-    assert tf04_reducible(tf)
+    assert tf.reducible()
 
 
 def test_tf04_pm2_family_propagates_in_pm2():
@@ -187,7 +214,7 @@ def test_tf04_pm2_family_propagates_in_pm2():
     two, m2 = ctx.from_int(2), ctx.from_int(-2)
     for s in slopes_in_box(6):
         assert tf.query(s) in (two, m2)
-    assert not tf04_reducible(tf)
+    assert not tf.reducible()
 
 
 def test_tf04_rejects_bad_seed():
@@ -237,7 +264,10 @@ def test_tf04_residual_conservation():
     tf = tf04_from_rep(rep)
     for s in slopes_in_box(5):
         for step in farey_walk(s):
-            assert tf.triangle_residual(step.a, step.b, step.new).is_zero()
+            for triangle in itertools.permutations((step.a, step.b, step.new)):
+                assert tf.triangle_residual(*triangle).is_zero()
+    with pytest.raises(SurfaceError):
+        tf.triangle_residual(Slope(0, 1), Slope(2, 1), Slope(1, 1))
 
 
 def test_tf04_diagonal_rep_quadrilateral_symmetry():
@@ -251,7 +281,7 @@ def test_tf04_diagonal_rep_quadrilateral_symmetry():
             gens.append(Mat2(a, ctx.zero, ctx.zero, ctx.one / a))
         rep = Rep(gens)
         tf = tf04_from_rep(rep)
-        assert tf04_reducible(tf)
+        assert tf.reducible()
         for s in slopes_in_box(5):
             for step in farey_walk(s):
                 assert tf.query(step.new) == tf.query(step.old)
@@ -318,7 +348,7 @@ def test_pm2_irreducible_realizable():
     rep = tf04_realize(tf)
     tf2 = tf04_from_rep(rep)
     assert tf2.boundary == tf.boundary and tf2.seed() == tf.seed()
-    assert not tf04_reducible(tf)
+    assert not tf.reducible()
 
 
 def test_tf_seed_json_roundtrip():
