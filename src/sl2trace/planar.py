@@ -9,8 +9,12 @@ finitely many exceptional trace functions.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qfield import characteristic, solve_quadratic
 from .sl2 import Mat2, Rep, delta_values, diagonalize_family
@@ -645,51 +649,56 @@ class PartitionTF:
                 raise PlanarError(f"conflicting values for subset type {key}")
         return cls(n, tuple(boundary), tuple(sorted(merged.items())))
 
+    @functools.cached_property
+    def _values(self):
+        """Value of every subset in a class that has one, its complement
+        included; a singleton takes its own boundary value."""
+        universe = frozenset(range(1, self.n + 1))
+        out = {}
+        for k, v in self.table:
+            out[frozenset(k)] = out[universe - frozenset(k)] = v
+        out.update((universe - {i}, v) for i, v in enumerate(self.boundary, 1))
+        out.update((frozenset((i,)), v) for i, v in enumerate(self.boundary, 1))
+        return out
+
     def value(self, subset):
         s = frozenset(subset)
-        if len(s) == 1:
-            return self.boundary[min(s) - 1]
-        if len(s) == self.n - 1:
-            comp = frozenset(range(1, self.n + 1)) - s
-            return self.boundary[min(comp) - 1]
-        key = tuple(sorted(_canonical_subset(s, self.n)))
-        for k, v in self.table:
-            if k == key:
-                return v
-        raise PlanarError(f"no table value for subset {sorted(s)}")
+        try:
+            return self._values[s]
+        except KeyError:
+            raise PlanarError(f"no table value for subset {sorted(s)}") from None
 
 
-def _partitions_into(parts, universe):
-    """Set partitions of universe into exactly `parts` nonempty blocks."""
-    universe = sorted(universe)
-    if not universe:
-        if parts == 0:
-            yield []
-        return
-    first, rest = universe[0], universe[1:]
-    # place first into a new block or an existing one
-    def rec(remaining, blocks):
-        if not remaining:
+@functools.cache
+def _set_partitions(n, parts):
+    """Set partitions of {1..n} into exactly `parts` nonempty blocks, each
+    a tuple of frozensets; computed once per (n, parts).  Element x goes
+    into each existing block in turn, then into a new block."""
+    out = []
+
+    def rec(x, blocks):
+        if x > n:
             if len(blocks) == parts:
-                yield [frozenset(b) for b in blocks]
+                out.append(tuple(frozenset(b) for b in blocks))
             return
-        x = remaining[0]
-        for i in range(len(blocks)):
-            blocks[i].append(x)
-            yield from rec(remaining[1:], blocks)
-            blocks[i].pop()
+        for b in blocks:
+            b.append(x)
+            rec(x + 1, blocks)
+            b.pop()
         if len(blocks) < parts:
             blocks.append([x])
-            yield from rec(remaining[1:], blocks)
+            rec(x + 1, blocks)
             blocks.pop()
 
-    yield from rec(rest, [[first]])
+    if n:
+        rec(2, [[1]])
+    return tuple(out)
 
 
 def exceptional_witness_partition(n, value_fn):
     """A 5-block partition whose restriction is one of the 16 exceptional
     functions on the 5-holed sphere, or None."""
-    for blocks in _partitions_into(5, range(1, n + 1)):
+    for blocks in _set_partitions(n, 5):
         vals = [value_fn(b) for b in blocks]
         prod = 1
         for v in vals:
@@ -723,15 +732,28 @@ def exceptional_enumerate(n, char=0):
     return _search_pm2_family(n, char)
 
 
-def _pm2_system(n):
+class _Pm2System(NamedTuple):
     """Flat-index form of the n-boundary search.
 
     The search keeps one list `vals`: the n boundary values, then one
-    value per table key.  Returns the keys, the `vals` index of every
-    proper nonempty subset of {1..n} (complements share an index), and
-    for each key the 4-holed-sphere constraints it completes, each a
-    7-tuple of `vals` indices (four block values, then the values on
-    t1|t2, t2|t3, t1|t3).
+    value per table key in search order.
+    """
+
+    keys: list  # table keys, sorted canonical subset tuples, in lex order
+    order: tuple  # lex positions of the keys in search order
+    index: dict  # vals index of every proper nonempty subset (complements share one)
+    fire: list  # per search position, the constraints its key completes
+
+
+def _pm2_system(n):
+    """The n-boundary search in greedy key order.
+
+    Each 4-holed-sphere constraint is a 7-tuple of `vals` indices (four
+    block values, then the values on t1|t2, t2|t3, t1|t3) and fires at the
+    search position of its last-assigned key.  The next key in the order
+    is the one that completes the most constraints, ties broken by key
+    size and then lexicographically, so most constraints fire early and
+    prune the DFS near its root.
     """
     universe = frozenset(range(1, n + 1))
     keys = sorted(
@@ -739,25 +761,66 @@ def _pm2_system(n):
          for size in range(2, n - 1)
          for s in itertools.combinations(universe, size)}
     )
+    lex = {}
+    for pos, key in enumerate(keys):
+        s = frozenset(key)
+        lex[s] = lex[universe - s] = pos
+    blocks = [(t1, t2, t3, t4, t1 | t2, t2 | t3, t1 | t3)
+              for t1, t2, t3, t4 in _set_partitions(n, 4)]
+    order = _greedy_order(keys, [{lex[s] for s in c if s in lex} for c in blocks])
     index = {}
     for i in range(1, n + 1):
         index[frozenset((i,))] = index[universe - {i}] = i - 1
-    for pos, key in enumerate(keys):
-        s = frozenset(key)
+    for pos, k in enumerate(order):
+        s = frozenset(keys[k])
         index[s] = index[universe - s] = n + pos
     fire = [[] for _ in keys]
-    for t1, t2, t3, t4 in _partitions_into(4, universe):
-        idx = tuple(index[s] for s in (t1, t2, t3, t4, t1 | t2, t2 | t3, t1 | t3))
+    for c in blocks:
+        idx = tuple(index[s] for s in c)
         fire[max(idx) - n].append(idx)
-    return keys, index, fire
+    return _Pm2System(keys, order, index, fire)
+
+
+def _greedy_order(keys, members):
+    """Lex positions of `keys` in greedy order: the next key completes the
+    most constraints (`members` holds each constraint's key positions),
+    ties broken by key size, then lex position.  Scores only grow, so a
+    heap with stale entries skipped costs O(total constraint size x log)."""
+    containing = [[] for _ in keys]
+    for c, m in enumerate(members):
+        for k in m:
+            containing[k].append(c)
+    unassigned = [len(m) for m in members]
+    score = [0] * len(keys)
+    for m in members:
+        if len(m) == 1:
+            score[next(iter(m))] += 1
+    heap = [(-score[k], len(key), k) for k, key in enumerate(keys)]
+    heapq.heapify(heap)
+    done = [False] * len(keys)
+    order = []
+    while heap:
+        neg, _, k = heapq.heappop(heap)
+        if done[k] or -neg != score[k]:
+            continue
+        done[k] = True
+        order.append(k)
+        for c in containing[k]:
+            unassigned[c] -= 1
+            if unassigned[c] == 1:
+                last = next(j for j in members[c] if not done[j])
+                score[last] += 1
+                heapq.heappush(heap, (-score[last], len(keys[last]), last))
+    return tuple(order)
 
 
 def _pm2_tables(n, boundary, system):
-    """Key-value tuples of every exceptional table over one boundary
-    vector, in DFS order (2 before -2 at each key)."""
-    _keys, index, fire = system
+    """Value tuples, in lex key order, of every exceptional table over one
+    boundary vector; the DFS tries 2 before -2 at each key."""
+    index, fire = system.index, system.fire
     vals = list(boundary) + [0] * len(fire)
     end = len(vals)
+    lex_values = operator.itemgetter(*(index[frozenset(k)] for k in system.keys))
     tables = []
 
     def value_fn(s):
@@ -766,7 +829,7 @@ def _pm2_tables(n, boundary, system):
     def dfs(pos):
         if pos == end:
             if exceptional_witness_partition(n, value_fn) is not None:
-                tables.append(tuple(vals[n:]))
+                tables.append(lex_values(vals))
             return
         constraints = fire[pos - n]
         for v in (2, -2):
@@ -797,12 +860,13 @@ def _search_pm2_family(n, char=0):
     each product-sign class of boundary vectors, so the DFS runs once
     from each class root, (2, ..., 2) and (-2, 2, ..., 2), and every
     other boundary vector takes the flipped results of its class root.
-    Results come in the order of a DFS over every boundary vector.
+    Results come in the order of a lex-key DFS over every boundary vector.
     """
     if char == 2:
         return []
     system = _pm2_system(n)
-    key_sets = [frozenset(k) for k in system[0]]
+    keys = system.keys
+    key_sets = [frozenset(k) for k in keys]
     roots = ((2,) * n, (-2,) + (2,) * (n - 1))
     root_tables = [_pm2_tables(n, root, system) for root in roots]
     results = []
@@ -810,13 +874,13 @@ def _search_pm2_family(n, char=0):
         cls = boundary.count(-2) % 2
         flip = {i + 1 for i in range(n) if boundary[i] != roots[cls][i]}
         signs = [-1 if len(k & flip) % 2 else 1 for k in key_sets]
-        # descending value tuples are the DFS order (2 before -2)
+        # descending value tuples are the order of a lex-key DFS (2 before -2)
         tables = sorted(
             (tuple(s * v for s, v in zip(signs, t)) for t in root_tables[cls]),
             reverse=True,
         )
         for t in tables:
-            results.append(PartitionTF.build(n, boundary, dict(zip(key_sets, t))))
+            results.append(PartitionTF(n, boundary, tuple(zip(keys, t))))
     return results
 
 
@@ -864,7 +928,7 @@ def certify_exceptional(tf, ctx=None):
     quads_ok = all(
         tf04_residual((tf.value(t1), tf.value(t2), tf.value(t3), tf.value(t4)),
                       (tf.value(t1 | t2), tf.value(t2 | t3), tf.value(t1 | t3))) == 0
-        for t1, t2, t3, t4 in _partitions_into(4, range(1, tf.n + 1))
+        for t1, t2, t3, t4 in _set_partitions(tf.n, 4)
     )
     cert["embedded_sigma04_pass"] = quads_ok
     if tf.n == 5:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -61,6 +62,18 @@ def test_exceptional_n6_golden():
     assert json.loads(out)["result"]["count"] == 192
 
 
+# SHA-256 of the `exceptional --n 7` report, taken from a search that walks
+# the keys in size order (then lex) with no reordering of constraints
+EXCEPTIONAL_N7_SHA256 = "adc047ff325f3d0dab4dd00fc7b336801eaa885afed8cbf23c9448fba5cccbe6"
+
+
+def test_exceptional_n7_digest():
+    code, out = main_in_process(["exceptional", "--n", "7"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXCEPTIONAL_N7_SHA256
+    assert json.loads(out)["result"]["count"] == 1408 == 22 * 64
+
+
 def test_identities_subcommand_golden():
     args = ["identities", "--samples", "25", "--seed", "7"]
     code1, out1 = invoke(args)
@@ -111,7 +124,7 @@ def test_exceptional_char2_rejected():
 def test_exceptional_cap():
     code, out = invoke(["exceptional", "--n", "9"])
     assert code == 2
-    assert "5..6" in json.loads(out)["error"]
+    assert "5..8" in json.loads(out)["error"]
 
 
 F0_TABLE = [[[i, j], -2] for i in range(1, 6) for j in range(i + 1, 6)]
@@ -213,7 +226,7 @@ PROBES = [
     ["realize", "--bogus"],
     ["exceptional", "--n", "abc"],
     ["exceptional", "--n", "4"],
-    ["exceptional", "--n", "7"],
+    ["exceptional", "--n", "9"],
     ["identities", "--samples", "-5"],
     ["identities", "--samples", "1001"],
     [],

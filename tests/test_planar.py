@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -343,18 +344,92 @@ def test_n6_enumeration_contains_construction():
 
 
 def _flip(tf, flip):
-    """The even sign flip of a partition TF on the index set `flip`."""
+    """The even sign flip of a partition TF on the index set `flip`; the
+    table keys do not change."""
     boundary = tuple(-v if i + 1 in flip else v for i, v in enumerate(tf.boundary))
-    table = {frozenset(k): -v if len(flip & set(k)) % 2 else v for k, v in tf.table}
+    table = tuple((k, -v if len(flip.intersection(k)) % 2 else v) for k, v in tf.table)
+    return PartitionTF(tf.n, boundary, table)
+
+
+def _relabel(tf, perm):
+    """The partition TF with boundary component i renamed perm[i]."""
+    boundary = [0] * tf.n
+    for i, v in enumerate(tf.boundary, 1):
+        boundary[perm[i] - 1] = v
+    table = {frozenset(perm[i] for i in k): v for k, v in tf.table}
     return PartitionTF.build(tf.n, boundary, table)
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7])
 def test_results_closed_under_even_sign_flips(n):
     fams = set(exceptional_enumerate(n))
     for size in range(2, n + 1, 2):
         for flip in itertools.combinations(range(1, n + 1), size):
             assert {_flip(tf, set(flip)) for tf in fams} == fams, flip
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_results_closed_under_relabelling(n):
+    """A transposition and an n-cycle generate S_n."""
+    fams = set(exceptional_enumerate(n))
+    transposition = {i: i for i in range(1, n + 1)} | {1: 2, 2: 1}
+    cycle = {i: i % n + 1 for i in range(1, n + 1)}
+    for perm in (transposition, cycle):
+        assert {_relabel(tf, perm) for tf in fams} == fams, perm
+
+
+def _four_block_partitions(n):
+    """Set partitions of {1..n} into 4 blocks, from restricted growth strings."""
+    for labels in itertools.product(range(4), repeat=n - 1):
+        labels = (0, *labels)
+        if all(labels[i] <= max(labels[:i]) + 1 for i in range(1, n)) and max(labels) == 3:
+            yield [frozenset(i + 1 for i in range(n) if labels[i] == b) for b in range(4)]
+
+
+@pytest.mark.parametrize("n,stirling", [(5, 10), (6, 65), (7, 350), (8, 1701)])
+def test_greedy_order_fires_each_constraint_once(n, stirling):
+    system = _pm2_system(n)
+    assert sorted(system.order) == list(range(len(system.keys)))
+    universe = frozenset(range(1, n + 1))
+    search_pos = {}
+    for pos, k in enumerate(system.order):
+        s = frozenset(system.keys[k])
+        search_pos[s] = search_pos[universe - s] = pos
+
+    def shape(idx):
+        return frozenset(idx[:4]), frozenset(idx[4:])
+
+    fired = collections.Counter((pos, shape(idx))
+                                for pos, constraints in enumerate(system.fire)
+                                for idx in constraints)
+    expected = collections.Counter()
+    for t1, t2, t3, t4 in _four_block_partitions(n):
+        classes = (t1, t2, t3, t4, t1 | t2, t2 | t3, t1 | t3)
+        last = max(search_pos[s] for s in classes if s in search_pos)
+        expected[last, shape([system.index[s] for s in classes])] += 1
+    assert sum(expected.values()) == sum(fired.values()) == stirling
+    assert fired == expected
+
+
+@pytest.mark.parametrize("n,per_root", [(7, [21, 1]), (8, [56, 8])])
+def test_every_root_table_certifies(n, per_root):
+    """Every table over the two class roots certifies; every other boundary
+    vector takes their even sign flips."""
+    roots = ((2,) * n, (-2,) + (2,) * (n - 1))
+    tables = [tf for tf in exceptional_enumerate(n) if tf.boundary in roots]
+    assert [sum(tf.boundary == root for tf in tables) for root in roots] == per_root
+    ctx = q_ctx()
+    for tf in tables:
+        assert certify_exceptional(tf, ctx)["exceptional"], tf
+
+
+def test_partition_tf_value_lookup():
+    tf = construct_n6_exceptional()
+    assert tf.value({5, 6}) == tf.value({1, 2, 3, 4}) == 2
+    assert tf.value({1, 2}) == -2
+    assert tf.value({3}) == tf.value({1, 2, 4, 5, 6}) == 2
+    with pytest.raises(PlanarError, match="no table value"):
+        tf.value(set())
 
 
 def test_search_reproduces_the_closed_form_n5():
@@ -372,7 +447,7 @@ def test_search_reproduces_the_closed_form_n5():
 @pytest.mark.parametrize("n", [5, 6])
 def test_dfs_from_a_non_root_boundary_matches_the_flipped_root(n):
     system = _pm2_system(n)
-    keys = [frozenset(k) for k in system[0]]
+    keys = [frozenset(k) for k in system.keys]
 
     def found(boundary):
         return {PartitionTF.build(n, boundary, dict(zip(keys, t)))
