@@ -40,8 +40,7 @@ from .planar import (
 SCHEMA = "1"
 
 # Input caps; README.md gives the time the slowest accepted input takes.
-EXCEPTIONAL_N = (5, 8)
-CERTIFY_N_MAX = 8
+EXCEPTIONAL_N = (5, 8)  # n of the n-holed sphere, for exceptional and certify
 WORD_MAX_LETTERS = 16  # after free reduction
 WORD_MAX_GENERATOR = 5
 SAMPLES_MAX = 1000
@@ -167,7 +166,7 @@ def _read_trace_data(ctx, payload):
 
 def _read_partition_tf(payload):
     """A certify table: one value per boundary subset class, none twice."""
-    n = _read_int(_get(payload, "n"), "n", 0, CERTIFY_N_MAX)
+    n = _read_int(_get(payload, "n"), "n", *EXCEPTIONAL_N)
     boundary = [_read_int(v, "boundary value") for v in _get(payload, "boundary", list, n)]
     universe = frozenset(range(1, n + 1))
     table = {}

@@ -19,6 +19,11 @@ class FieldError(ValueError):
     pass
 
 
+def too_many_digits():
+    """The error for a value too long to print (sys.get_int_max_str_digits())."""
+    return FieldError(f"a result has more than {sys.get_int_max_str_digits()} digits")
+
+
 # ---------------------------------------------------------------------------
 # base fields
 
@@ -71,8 +76,7 @@ class RationalBase:
         try:
             return f"{x.numerator}/{x.denominator}"
         except ValueError:  # str() refuses integers past the interpreter's digit limit
-            raise FieldError(
-                f"a result has more than {sys.get_int_max_str_digits()} digits") from None
+            raise too_many_digits() from None
 
     def spec(self):
         return "q"
@@ -235,42 +239,54 @@ class TowerContext:
 
     def _add(self, x, y):
         add = self.base.add
-        return tuple(add(a, b) for a, b in zip(x, y))
+        return tuple((add(a, b) if a else b) if b else a for a, b in zip(x, y))
 
     def _sub(self, x, y):
         sub = self.base.sub
         return tuple(sub(a, b) for a, b in zip(x, y))
 
     def _neg(self, x):
-        neg = self.base.neg
-        return tuple(neg(a) for a in x)
+        return tuple(map(self.base.neg, x))
 
     def _scale(self, x, c):
         mul = self.base.mul
-        return tuple(mul(a, c) for a in x)
+        return tuple(mul(a, c) if a else a for a in x)
 
     def _is_zero(self, x):
-        z = self.base.zero
-        return all(a == z for a in x)
+        return not any(x)  # coordinates are canonical: a Fraction or an int mod p
+
+    def _mul_low(self, x, e):
+        """x times the element e of a level at most x's, at x's level: a
+        scalar product when e is rational, else one product per block of x
+        (each block is a coefficient in e's subfield)."""
+        if e.level == 0:
+            return self._scale(x, e.coords[0])
+        w = len(e.coords)
+        return tuple(c for i in range(0, len(x), w)
+                     for c in self._mul(e.level, x[i:i + w], e.coords))
 
     def _mul(self, level, x, y):
+        if not any(x):
+            return x
+        if not any(y):
+            return y
         if level == 0:
             return (self.base.mul(x[0], y[0]),)
         h = len(x) // 2
         a1, b1 = x[:h], x[h:]
         a2, b2 = y[:h], y[h:]
         lev = level - 1
+        # a zero top half leaves a1 (a2 + b2 t) = a1 a2 + a1 b2 t, or its mirror
+        if not any(b1):
+            return self._mul(lev, a1, a2) + self._mul(lev, a1, b2)
+        if not any(b2):
+            return self._mul(lev, a1, a2) + self._mul(lev, b1, a2)
         aa = self._mul(lev, a1, a2)
         bb = self._mul(lev, b1, b2)
         cross = self._add(self._mul(lev, a1, b2), self._mul(lev, b1, a2))
-        top = self.levels[level - 1]
-        dcoords = self._lift(top.defining.coords, top.defining.level, lev)
-        if top.kind == "sqrt":
-            lo = self._add(aa, self._mul(lev, dcoords, bb))
-            hi = cross
-        else:  # theta^2 = theta + c
-            lo = self._add(aa, self._mul(lev, dcoords, bb))
-            hi = self._add(cross, bb)
+        top = self.levels[lev]
+        lo = self._add(aa, self._mul_low(bb, top.defining))
+        hi = cross if top.kind == "sqrt" else self._add(cross, bb)  # theta^2 = theta + c
         return lo + hi
 
     def _inv(self, level, x):
@@ -279,24 +295,22 @@ class TowerContext:
         h = len(x) // 2
         a, b = x[:h], x[h:]
         lev = level - 1
-        top = self.levels[level - 1]
-        dcoords = self._lift(top.defining.coords, top.defining.level, lev)
+        if not any(b):
+            return self._inv(lev, a) + b
+        top = self.levels[lev]
+        dbb = self._mul_low(self._mul(lev, b, b), top.defining)
         if top.kind == "sqrt":
             # (a + b t)^-1 = (a - b t) / (a^2 - d b^2)
-            norm = self._sub(self._mul(lev, a, a),
-                             self._mul(lev, dcoords, self._mul(lev, b, b)))
+            norm = self._sub(self._mul(lev, a, a), dbb)
             conj = a + self._neg(b)
         else:
             # conjugate root is t + 1; norm = a^2 + a b + c b^2
-            norm = self._add(self._mul(lev, a, a),
-                             self._add(self._mul(lev, a, b),
-                                       self._mul(lev, dcoords, self._mul(lev, b, b))))
+            norm = self._add(self._mul(lev, a, a), self._add(self._mul(lev, a, b), dbb))
             conj = self._add(a, b) + b
         if self._is_zero(norm):
             raise FieldError("division by zero")
         ninv = self._inv(lev, norm)
-        half = len(conj) // 2
-        return (self._mul(lev, conj[:half], ninv) + self._mul(lev, conj[half:], ninv))
+        return self._mul(lev, conj[:h], ninv) + self._mul(lev, conj[h:], ninv)
 
     # -- square roots ------------------------------------------------------
 
@@ -326,20 +340,19 @@ class TowerContext:
         h = len(x) // 2
         a, b = x[:h], x[h:]
         lev = level - 1
-        top = self.levels[level - 1]
-        d = self._lift(top.defining.coords, top.defining.level, lev)
+        d = self.levels[lev].defining
         if self._is_zero(b):
             ra = self._sqrt_rec(lev, a)
             if ra is not None:
-                return ra + (self.base.zero,) * h
-            rad = self._sqrt_rec(lev, self._mul(lev, a, d))
+                return ra + b
+            rad = self._sqrt_rec(lev, self._mul_low(a, d))
             if rad is not None:
                 # sqrt(a) = (rad / d) * t
-                return (self.base.zero,) * h + self._mul(lev, rad, self._inv(lev, d))
+                dinv = TowerElement(self, d.level, self._inv(d.level, d.coords))
+                return b + self._mul_low(rad, dinv)
             return None
         # a + b t = (u + v t)^2 needs u^2 + d v^2 = a, 2uv = b
-        norm = self._sub(self._mul(lev, a, a),
-                         self._mul(lev, d, self._mul(lev, b, b)))
+        norm = self._sub(self._mul(lev, a, a), self._mul_low(self._mul(lev, b, b), d))
         s = self._sqrt_rec(lev, norm)
         if s is None:
             return None
@@ -455,7 +468,14 @@ class TowerElement:
         lev = max(self.level, other.level)
         return self.lift(lev), other.lift(lev)
 
+    def _level0(self, other):
+        """Both operands rational elements of this tower: the fast path."""
+        return (type(other) is TowerElement and other.ctx is self.ctx
+                and self.level == other.level == 0)
+
     def __add__(self, other):
+        if self._level0(other):
+            return TowerElement(self.ctx, 0, (self.ctx.base.add(self.coords[0], other.coords[0]),))
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -464,6 +484,8 @@ class TowerElement:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if self._level0(other):
+            return TowerElement(self.ctx, 0, (self.ctx.base.sub(self.coords[0], other.coords[0]),))
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -476,11 +498,11 @@ class TowerElement:
         return TowerElement(self.ctx, self.level, self.ctx._neg(self.coords))
 
     def __mul__(self, other):
+        if self._level0(other):
+            return TowerElement(self.ctx, 0, (self.ctx.base.mul(self.coords[0], other.coords[0]),))
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if a.level == 0:
-            return TowerElement(self.ctx, 0, (self.ctx.base.mul(a.coords[0], b.coords[0]),))
         return TowerElement(self.ctx, a.level, self.ctx._mul(a.level, a.coords, b.coords))._trim()
 
     __rmul__ = __mul__

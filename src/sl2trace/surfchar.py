@@ -11,9 +11,11 @@ words x1, x2, x3, x1x2x3.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
-from .qfield import characteristic
+from .qfield import characteristic, too_many_digits
 from .sl2 import Rep, delta_values, realize_triple
 from .farey import INF, ONE, ZERO, farey_walk
 from .fricke import subset_trace_assignment
@@ -31,6 +33,24 @@ def half_product(a, b):
             raise SurfaceError("char-2 half product needs a = 2")
         return b
     return a * b / ctx.from_int(2)
+
+
+def _size_check(ctx):
+    """Over Q, a check for each value a walk stores: once a numerator or
+    denominator is too long to print (more than sys.get_int_max_str_digits()
+    digits, told by bit_length()) it raises the error printing would, so the
+    walk stops before its values grow further.  None over F_p, whose values
+    are bounded, or with no digit limit."""
+    digits = sys.get_int_max_str_digits()
+    if characteristic(ctx) != 0 or not digits:
+        return None
+    bits = math.ceil(digits * math.log2(10))  # an integer past it has more digits
+
+    def check(v):
+        for x in v.coords:
+            if x.numerator.bit_length() > bits or x.denominator.bit_length() > bits:
+                raise too_many_digits()
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +92,7 @@ class TF11:
         self.ctx = v1.ctx
         self.values = {ZERO: v1, INF: v2, ONE: v3}
         self.boundary = delta_values(v1, v2, v3) + 2
+        self._check = _size_check(self.ctx)
 
     def seed(self):
         return (self.values[ZERO], self.values[INF], self.values[ONE])
@@ -81,9 +102,10 @@ class TF11:
             for step in farey_walk(slope):
                 if step.new in self.values:
                     continue
-                self.values[step.new] = (
-                    self.values[step.a] * self.values[step.b] - self.values[step.old]
-                )
+                v = self.values[step.a] * self.values[step.b] - self.values[step.old]
+                if self._check:
+                    self._check(v)
+                self.values[step.new] = v
         return self.values[slope]
 
     def query_via(self, steps, slope):
@@ -155,6 +177,7 @@ class TF04:
         self.ctx = boundary[0].ctx
         self.boundary = b = tuple(boundary)
         self.values = {ZERO: triangle[0], INF: triangle[1], ONE: triangle[2]}
+        self._check = _size_check(self.ctx)
         # b_i b_j + b_k b_l for each slope class, the constant of its step
         self.pair_terms = {
             cls: b[i] * b[j] + b[k] * b[l] for cls, ((i, j), (k, l)) in PAIRING.items()
@@ -171,11 +194,14 @@ class TF04:
             for step in farey_walk(slope):
                 if step.new in self.values:
                     continue
-                self.values[step.new] = (
+                v = (
                     -self.values[step.a] * self.values[step.b]
                     + self.pair_terms[step.new.p % 2, step.new.q % 2]
                     - self.values[step.old]
                 )
+                if self._check:
+                    self._check(v)
+                self.values[step.new] = v
         return self.values[slope]
 
     def query_via(self, steps, slope):

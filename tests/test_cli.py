@@ -154,6 +154,9 @@ def test_certify_f0():
     {"n": 5, "boundary": [2] * 5, "table": F0_TABLE + [[[3, 4, 5], 2]]},
     # a subset class with no value
     {"n": 5, "boundary": [2] * 5, "table": F0_TABLE[1:]},
+    # fewer than 5 boundary components
+    {"n": 0, "boundary": [], "table": []},
+    {"n": 4, "boundary": [2] * 4, "table": [[[1, 2], 2], [[1, 3], 2], [[1, 4], 2]]},
 ])
 def test_certify_malformed_exit_2(payload):
     code, report = run(JobSpec(command="certify", payload=payload))
@@ -246,6 +249,12 @@ TOO_LARGE = [
     ["variety", "--json", json.dumps({"point": ["1/" + "9" * 3000] + ["0"] * 6})],
     ["realize", "--json", json.dumps({"traces": ["1" + "0" * 2999] + ["3"] * 5})],
     ["propagate", "--json", payload_with(SIGMA11, slopes=["1/20000"])],
+    # values too long to print stop the walk midway: small partial quotients
+    # (F40/F41), and a rational seed
+    pytest.param(["propagate", "--json", payload_with(SIGMA11, slopes=["102334155/165580141"])],
+                 id="propagate-fibonacci-slope"),
+    pytest.param(["propagate", "--json", payload_with(
+        SIGMA11, triangle=["-9/8", "3", "3"], slopes=["1/20000"])], id="propagate-rational-seed"),
 ]
 
 

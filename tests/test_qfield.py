@@ -1,9 +1,11 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sl2trace.planar import FIFTEEN_KEYS, TraceData05, check_trace_function_05
 from sl2trace.qfield import (
     FieldError,
     PrimeBase,
@@ -230,3 +232,161 @@ def test_solve_quadratic_vieta_random(a, b):
     r1, r2 = solve_quadratic(ctx, ea, eb)
     assert r1 + r2 + ea == ctx.zero
     assert r1 * r2 - eb == ctx.zero
+
+
+# ---------------------------------------------------------------------------
+# the sparse tower product against a dense schoolbook reference
+
+# (field, defining elements): each is the coordinate list of an element at
+# its own level, adjoined as a square root, or over F_2 as the constant c
+# of y^2 + y = c; so level 1 of every tower sits over a rational, the
+# others over a rational or a higher-level element (0, 1) = t1,
+# (0, 1, 1, 0) = t1 + t2 and (0, 0, 1, 0) = t2
+TOWERS = [
+    ("q", [(2,)]),
+    ("q", [(2,), (3,)]),
+    ("q", [(2,), (1, 1)]),
+    ("q", [(2,), (3,), (5,)]),
+    ("q", [(2,), (1, 1), (3,)]),
+    ("q", [(2,), (3,), (0, 1, 1, 0)]),
+    ("fp:5", [(2,)]),
+    ("fp:5", [(2,), (0, 1)]),
+    ("fp:5", [(2,), (0, 1), (0, 0, 1, 0)]),
+    ("fp:2", [(1,)]),
+    ("fp:2", [(1,), (0, 1)]),
+    ("fp:2", [(1,), (0, 1), (0, 0, 0, 1)]),
+]
+SHAPES = ("dense", "random", "monomial", "zero-half")
+
+
+def build_tower(spec, defining):
+    """A tower that is a field: the library's own test finds each defining
+    element a non-square (no Artin-Schreier root over F_2)."""
+    ctx = TowerContext(base_from_spec(spec))
+    a = ctx.one if characteristic(ctx) == 2 else ctx.zero
+    for coords in defining:
+        level = len(coords).bit_length() - 1
+        d = TowerElement(ctx, level, tuple(ctx.base.from_int(v) for v in coords))._trim()
+        before = len(ctx.levels)
+        solve_quadratic(ctx, a, -d)  # x^2 - d, or over F_2 x^2 + x + d
+        assert len(ctx.levels) == before + 1
+    return ctx
+
+
+def ref_poly(ctx, elt):
+    """elt as {exponent tuple: coefficient}, one 0/1 exponent per level."""
+    height = len(ctx.levels)
+    return {tuple((i >> k) & 1 for k in range(height)): c for i, c in enumerate(elt.coords) if c}
+
+
+def ref_mul(ctx, x, y):
+    """Schoolbook product of two ref_poly dicts: every pair of terms, then
+    each t_k^2 rewritten by level k's relation (t^2 = d, or t^2 = t + c),
+    highest level first, until every exponent is 0 or 1."""
+    p = ctx.base.characteristic
+    terms = {}
+
+    def put(e, c):
+        v = terms.get(e, 0) + c
+        terms[e] = v % p if p else v
+
+    for ex, cx in x.items():
+        for ey, cy in y.items():
+            put(tuple(a + b for a, b in zip(ex, ey)), cx * cy)
+    while True:
+        e = next((e for e, c in terms.items() if c and max(e) > 1), None)
+        if e is None:
+            return {e: c for e, c in terms.items() if c}
+        c = terms.pop(e)
+        k = max(i for i, a in enumerate(e) if a > 1)
+        rest = e[:k] + (e[k] - 2,) + e[k + 1:]
+        relation = ref_poly(ctx, ctx.levels[k].defining)
+        if ctx.levels[k].kind == "as":
+            relation[tuple(int(i == k) for i in range(len(e)))] = 1
+        for er, cr in relation.items():
+            put(tuple(a + b for a, b in zip(rest, er)), c * cr)
+
+
+def random_operand(ctx, rng, shape):
+    height = len(ctx.levels)
+    p = ctx.base.characteristic
+
+    def scalar():
+        if p:
+            return rng.randrange(1, p)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    zero, n = ctx.base.zero, 1 << height
+    if shape == "dense":
+        coords = [scalar() for _ in range(n)]
+    elif shape == "random":
+        coords = [scalar() if rng.random() < 0.5 else zero for _ in range(n)]
+    elif shape == "monomial":
+        coords = [zero] * n
+        coords[rng.randrange(n)] = scalar()
+    else:  # one half zero at a random level: the top or the bottom half of each block
+        k, side = rng.randrange(height), rng.randrange(2)
+        coords = [scalar() if (i >> k) & 1 == side else zero for i in range(n)]
+    return TowerElement(ctx, height, tuple(coords))._trim()
+
+
+@pytest.mark.parametrize("spec,defining", TOWERS,
+                         ids=[f"{s}-h{len(d)}-{i}" for i, (s, d) in enumerate(TOWERS)])
+def test_sparse_kernel_matches_dense_reference(spec, defining):
+    ctx = build_tower(spec, defining)
+    rng = random.Random(f"{spec}:{defining}")
+    one = {(0,) * len(ctx.levels): ctx.base.one}
+    for sx in SHAPES:
+        for sy in SHAPES:
+            for _ in range(4):
+                x, y = random_operand(ctx, rng, sx), random_operand(ctx, rng, sy)
+                px, py = ref_poly(ctx, x), ref_poly(ctx, y)
+                assert ref_poly(ctx, x * y) == ref_mul(ctx, px, py)
+        x = random_operand(ctx, rng, sx)
+        if not x.is_zero():
+            assert ref_mul(ctx, ref_poly(ctx, x), ref_poly(ctx, ctx.one / x)) == one
+        square = x * x
+        root = ctx.sqrt_in_tower(square)
+        assert root is not None
+        assert ref_mul(ctx, ref_poly(ctx, root), ref_poly(ctx, root)) == ref_poly(ctx, square)
+
+
+class CountingBase(RationalBase):
+    """Q that counts its products."""
+
+    def __init__(self):
+        self.products = 0
+
+    def mul(self, x, y):
+        self.products += 1
+        return x * y
+
+
+def test_sparse_products_count_base_products():
+    """Work, not wall time: the dense product took 5^3 = 125 base products
+    for one level-3 product, whatever its operands."""
+    ctx = TowerContext(CountingBase())
+    s2, s3, s5 = (ctx.adjoin_sqrt(ctx.from_int(d)) for d in (2, 3, 5))
+    m = s2 * s3 * s5
+    ctx.base.products = 0
+    assert m * m == ctx.from_int(30)
+    assert ctx.base.products <= 8
+    ctx.base.products = 0
+    assert (m + s5) * (m - s5) == ctx.from_int(30 - 5)
+    assert ctx.base.products <= 16
+
+
+def test_check05_counts_base_products():
+    """A check05 job whose realization needs a tower of height 3 (subset
+    traces of an integer rank-4 rep); the dense product took 19 163 base
+    products for it."""
+    ctx = TowerContext(CountingBase())
+    boundary = ["-1", "0", "3", "4", "-39"]
+    interior = {"12": "-4", "13": "2", "14": "0", "23": "0", "24": "5", "34": "4",
+                "123": "-8", "124": "-18", "134": "16", "234": "14"}
+    values = dict(zip(FIFTEEN_KEYS, (ctx.parse(s) for s in boundary)))
+    values.update((k, ctx.parse(s)) for k, s in interior.items())
+    verdict = check_trace_function_05(TraceData05(values))
+    assert verdict.kind == "character"
+    assert len(ctx.levels) == 3
+    assert ctx.base.products <= 6000
