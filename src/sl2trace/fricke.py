@@ -90,7 +90,8 @@ def _cyclic_reduce(letters):
 def _min_rotation(letters):
     if not letters:
         return letters
-    return min(letters[i:] + letters[:i] for i in range(len(letters)))
+    low = min(letters)
+    return min(letters[i:] + letters[:i] for i, x in enumerate(letters) if x == low)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +115,19 @@ class TracePolynomial:
                     self.terms[mono] = coeff
 
     @classmethod
+    def _of(cls, terms):
+        """Wrap a dict that already holds no zero coefficient."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def constant(cls, n):
-        return cls({(): n} if n else {})
+        return cls._of({(): n} if n else {})
 
     @classmethod
     def variable(cls, sym):
-        return cls({(sym,): 1})
+        return cls._of({(sym,): 1})
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -131,12 +139,12 @@ class TracePolynomial:
                 out[mono] = c
             else:
                 out.pop(mono, None)
-        return TracePolynomial(out)
+        return TracePolynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TracePolynomial({m: -c for m, c in self.terms.items()})
+        return TracePolynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -148,7 +156,9 @@ class TracePolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TracePolynomial({m: c * other for m, c in self.terms.items()})
+            if not other:
+                return TracePolynomial._of({})
+            return TracePolynomial._of({m: c * other for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -158,7 +168,7 @@ class TracePolynomial:
                     out[mono] = c
                 else:
                     out.pop(mono, None)
-        return TracePolynomial(out)
+        return TracePolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -229,13 +239,50 @@ class TracePolynomial:
 
 # ---------------------------------------------------------------------------
 # word trace reduction
+#
+# The reduction works on packed monomials: each trace variable t_S owns a
+# one-byte exponent field of one int, assigned on first use, so a product
+# of monomials is an int addition.  Every rewrite keeps the total degree
+# of tr(w) at most the cyclically reduced length of w, so no field
+# overflows while that length is below 2**_WIDTH = 256.  Memo entries are
+# plain {packed monomial: coefficient} dicts, shared and never mutated.
 
 
+_WIDTH = 8  # bits per exponent field: one byte, read back by _decode
+_MAX_LETTERS = 1 << _WIDTH
+_SHIFT = {}    # trace variable -> bit offset of its exponent field
+_SYMS = []     # trace variables in field order
+_DECODED = {}  # packed monomial -> sorted variable tuple
 _REDUCE_CACHE = {}
 
 
+def _var(sym):
+    """Packed monomial of the single trace variable sym."""
+    shift = _SHIFT.get(sym)
+    if shift is None:
+        shift = _SHIFT[sym] = _WIDTH * len(_SYMS)
+        _SYMS.append(sym)
+    return 1 << shift
+
+
+def _decode(mono):
+    """Sorted variable tuple of a packed monomial (one byte per field)."""
+    syms = _DECODED.get(mono)
+    if syms is None:
+        out = []
+        for i, e in enumerate(mono.to_bytes(len(_SYMS), "little")):
+            if e:
+                out += (_SYMS[i],) * e
+        out.sort()
+        syms = _DECODED[mono] = tuple(out)
+    return syms
+
+
 def reduce_trace_word(word, rank=None):
-    """Integer trace polynomial of a word, valid for every SL(2) rep."""
+    """Integer trace polynomial of a word, valid for every SL(2) rep.
+
+    Raises WordError for a letter above rank and for a word whose cyclic
+    reduction has 256 letters or more (the exponent fields are one byte)."""
     if isinstance(word, Word):
         letters = word.letters
     else:
@@ -244,34 +291,53 @@ def reduce_trace_word(word, rank=None):
         bad = [k for k in letters if abs(k) > rank]
         if bad:
             raise WordError(f"letters {bad} exceed rank {rank}")
-    return _reduce(letters)
+    if len(_cyclic_reduce(letters)) >= _MAX_LETTERS:
+        raise WordError(f"cyclically reduced words must be shorter than {_MAX_LETTERS} letters")
+    return TracePolynomial._of({_decode(m): c for m, c in _reduce(letters).items()})
 
 
 def _reduce(letters):
     letters = _min_rotation(_cyclic_reduce(_free_reduce(letters)))
     if not letters:
-        return TracePolynomial.constant(2)
+        return {0: 2}
     cached = _REDUCE_CACHE.get(letters)
     if cached is not None:
         return cached
-    poly = _reduce_step(letters)
-    _REDUCE_CACHE[letters] = poly
-    return poly
+    terms = _reduce_step(letters)
+    _REDUCE_CACHE[letters] = terms
+    return terms
+
+
+def _add_product(out, p, q):
+    """out += p * q on packed-monomial dicts, dropping zero terms."""
+    get = out.get
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = m1 + m2
+            c = get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+
+
+def _negated(p):
+    return {m: -c for m, c in p.items()}
 
 
 def _reduce_step(letters):
     n = len(letters)
     # single letter: tr x = tr x^-1 = t_i
     if n == 1:
-        return TracePolynomial.variable((abs(letters[0]),))
+        return {_var((abs(letters[0]),)): 1}
 
     # eliminate an inverse letter: tr(x^-1 V) = tr(x) tr(V) - tr(x V)
     for i, x in enumerate(letters):
         if x < 0:
             rest = letters[i + 1:] + letters[:i]
-            g = (-x,)
-            tg = TracePolynomial.variable(g)
-            return tg * _reduce(rest) - _reduce((-x,) + rest)
+            out = _negated(_reduce((-x,) + rest))
+            _add_product(out, {_var((-x,)): 1}, _reduce(rest))
+            return out
 
     # split a repeated letter: tr(xV xW) = tr(xV) tr(xW) - tr(V^-1 W)
     first_pos = {}
@@ -280,10 +346,10 @@ def _reduce_step(letters):
             j = first_pos[x]
             v = letters[j + 1: i]
             w = letters[i + 1:] + letters[:j]
-            xv = (x,) + v
-            xw = (x,) + w
             vinv = tuple(-k for k in reversed(v))
-            return _reduce(xv) * _reduce(xw) - _reduce(vinv + w)
+            out = _negated(_reduce(vinv + w))
+            _add_product(out, _reduce((x,) + v), _reduce((x,) + w))
+            return out
         first_pos[x] = i
 
     # positive word, distinct letters: bubble adjacent out-of-order pairs
@@ -293,20 +359,17 @@ def _reduce_step(letters):
         if letters[i] > letters[i + 1]:
             xj, xi = letters[i], letters[i + 1]
             m = letters[i + 2:] + letters[:i]
-            ti = TracePolynomial.variable((xi,))
-            tj = TracePolynomial.variable((xj,))
-            tij = _reduce((xi, xj))
+            ti, tj = _var((xi,)), _var((xj,))
             tm = _reduce(m)
-            return (
-                -_reduce((xi, xj) + m)
-                + tij * tm
-                + ti * _reduce((xj,) + m)
-                + tj * _reduce((xi,) + m)
-                - ti * tj * tm
-            )
+            out = _negated(_reduce((xi, xj) + m))
+            _add_product(out, _reduce((xi, xj)), tm)
+            _add_product(out, {ti: 1}, _reduce((xj,) + m))
+            _add_product(out, {tj: 1}, _reduce((xi,) + m))
+            _add_product(out, {ti + tj: -1}, tm)
+            return out
 
     # sorted positive word with distinct letters: a basic variable
-    return TracePolynomial.variable(tuple(letters))
+    return {_var(letters): 1}
 
 
 def trace_of_word_direct(rep, word):

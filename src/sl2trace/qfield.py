@@ -492,9 +492,14 @@ class TowerElement:
         return TowerElement(self.ctx, a.level, self.ctx._sub(a.coords, b.coords))._trim()
 
     def __rsub__(self, other):
+        if type(other) is int and self.level == 0:
+            base = self.ctx.base
+            return TowerElement(self.ctx, 0, (base.sub(base.from_int(other), self.coords[0]),))
         return (-self) + other
 
     def __neg__(self):
+        if self.level == 0:
+            return TowerElement(self.ctx, 0, (self.ctx.base.neg(self.coords[0]),))
         return TowerElement(self.ctx, self.level, self.ctx._neg(self.coords))
 
     def __mul__(self, other):

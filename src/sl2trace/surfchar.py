@@ -108,15 +108,6 @@ class TF11:
                 self.values[step.new] = v
         return self.values[slope]
 
-    def query_via(self, steps, slope):
-        """Replay an explicit walk; must agree with the memoized value."""
-        vals = dict(self.values)
-        for step in steps:
-            vals[step.new] = vals[step.a] * vals[step.b] - vals[step.old]
-        if slope not in vals:
-            raise SurfaceError("walk does not reach the requested slope")
-        return vals[slope]
-
     def reducible(self):
         return delta_values(*self.seed()).is_zero()
 
@@ -203,18 +194,6 @@ class TF04:
                     self._check(v)
                 self.values[step.new] = v
         return self.values[slope]
-
-    def query_via(self, steps, slope):
-        vals = dict(self.values)
-        for step in steps:
-            vals[step.new] = (
-                -vals[step.a] * vals[step.b]
-                + self.pair_terms[step.new.p % 2, step.new.q % 2]
-                - vals[step.old]
-            )
-        if slope not in vals:
-            raise SurfaceError("walk does not reach the requested slope")
-        return vals[slope]
 
     def triangle_residual(self, a, b, c):
         """The character relation at the Farey triangle (a, b, c), in any order."""

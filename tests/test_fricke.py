@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sl2trace.fricke as fricke
 from sl2trace.qfield import FieldError, PrimeBase, RationalBase, TowerContext
 from sl2trace.sl2 import Mat2, Rep
 from sl2trace.fricke import (
@@ -245,3 +246,144 @@ def test_char_point_length_check():
     with pytest.raises(WordError):
         CharPoint3((1, 2, 3))
 
+
+
+# ---------------------------------------------------------------------------
+# the packed reduction against a sorted-tuple reference
+
+
+def _canonical(letters):
+    """Free and cyclic reduction, then the least rotation."""
+    out = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    while len(out) >= 2 and out[0] == -out[-1]:
+        out = out[1:-1]
+    w = tuple(out)
+    return min((w[i:] + w[:i] for i in range(len(w))), default=w)
+
+
+def _ref_combine(*signed_products):
+    """Sum of sign * p * q over sorted-tuple monomial dicts."""
+    out = {}
+    for sign, p, q in signed_products:
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, 0) + sign * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_reduce(letters, memo):
+    """Trace polynomial by the same three rewrite rules, on sorted tuples."""
+    w = _canonical(letters)
+    if not w:
+        return {(): 2}
+    if w in memo:
+        return memo[w]
+    one = {(): 1}
+
+    def var(sym):
+        return {(sym,): 1}
+
+    def red(x):
+        return _ref_reduce(x, memo)
+
+    n = len(w)
+    negative = [i for i, x in enumerate(w) if x < 0]
+    seen = {}
+    repeat = None
+    for i, x in enumerate(w):
+        if x in seen:
+            repeat = (seen[x], i, x)
+            break
+        seen[x] = i
+    swap = next((i for i in range(n - 1) if w[i] > w[i + 1]), None)
+    if n == 1:
+        out = var((abs(w[0]),))
+    elif negative:
+        i = negative[0]
+        rest = w[i + 1:] + w[:i]
+        out = _ref_combine((1, var((-w[i],)), red(rest)), (-1, red((-w[i],) + rest), one))
+    elif repeat is not None:
+        j, i, x = repeat
+        v, rest = w[j + 1: i], w[i + 1:] + w[:j]
+        vinv = tuple(-k for k in reversed(v))
+        out = _ref_combine((1, red((x,) + v), red((x,) + rest)), (-1, red(vinv + rest), one))
+    elif swap is not None:
+        xj, xi = w[swap], w[swap + 1]
+        m = w[swap + 2:] + w[:swap]
+        ti, tj, tm = var((xi,)), var((xj,)), red(m)
+        out = _ref_combine(
+            (-1, red((xi, xj) + m), one),
+            (1, red((xi, xj)), tm),
+            (1, ti, red((xj,) + m)),
+            (1, tj, red((xi,) + m)),
+            (-1, _ref_combine((1, ti, tj)), tm),
+        )
+    else:
+        out = var(w)
+    memo[w] = out
+    return out
+
+
+def _random_words(seed, count, max_len=10):
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        rank = rng.randint(1, 5)
+        letters = [rng.choice([1, -1]) * rng.randint(1, rank)
+                   for _ in range(rng.randint(1, max_len))]
+        words.append(Word(letters))
+    return words
+
+
+def test_packed_reduction_matches_sorted_tuple_reference():
+    memo = {}
+    words = _random_words(808, 320)
+    assert {w.rank() for w in words} >= {1, 2, 3, 4, 5}
+    for w in words:
+        assert reduce_trace_word(w).terms == _ref_reduce(w.letters, memo), w
+
+
+def test_cold_and_warm_memo_agree():
+    words = _random_words(909, 40)
+    warm = [reduce_trace_word(w).terms for w in words]
+    for w, terms in zip(words, warm):
+        fricke._REDUCE_CACHE.clear()
+        assert reduce_trace_word(w).terms == terms, w
+
+
+def test_degree_at_most_cyclically_reduced_length():
+    for w in _random_words(1010, 200, max_len=12) + [Word((1,) * 9), Word((1, 2) * 5)]:
+        length = len(_canonical(w.letters))
+        for mono in reduce_trace_word(w).terms:
+            assert len(mono) <= length, w
+
+
+def test_exponent_field_width_limit():
+    limit = fricke._MAX_LETTERS
+    # tr(x1^n) is the Chebyshev-like polynomial with leading term t1^n
+    poly = reduce_trace_word(Word((1,) * (limit - 1)))
+    assert poly.terms[((1,),) * (limit - 1)] == 1
+    entries = len(fricke._REDUCE_CACHE)
+    for letters in [(1,) * limit, (2, 1) * (limit // 2), (3,) + (1, -2) * limit + (-3,)]:
+        with pytest.raises(WordError):
+            reduce_trace_word(Word(letters))
+    assert len(fricke._REDUCE_CACHE) == entries
+    # a conjugate is accepted: only the cyclically reduced length counts
+    assert reduce_trace_word(Word((2,) * limit + (1,) + (-2,) * limit)) == TracePolynomial.variable((1,))
+
+
+def test_reduce_memo_is_module_global():
+    # perfbench reads fricke._REDUCE_CACHE (through a getattr default)
+    fricke._REDUCE_CACHE.clear()
+    reduce_trace_word(Word((1, 2, -1, -2)))
+    size = len(fricke._REDUCE_CACHE)
+    assert size > 0
+    reduce_trace_word(Word((1, 2, 3, -1, -2, -3)))
+    assert len(fricke._REDUCE_CACHE) > size
+    assert all(type(terms) is dict for terms in fricke._REDUCE_CACHE.values())

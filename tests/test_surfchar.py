@@ -5,7 +5,7 @@ import pytest
 
 from sl2trace.qfield import PrimeBase, RationalBase, TowerContext, base_from_spec, solve_quadratic
 from sl2trace.sl2 import Mat2, Rep, delta_values
-from sl2trace.farey import Slope, farey_walk, slope_word_torus, slopes_in_box
+from sl2trace.farey import Slope, complete_triangle, farey_walk, slope_word_torus, slopes_in_box
 from sl2trace.fricke import TracePolynomial, trace_of_word_direct
 from sl2trace.surfchar import (
     SurfaceError,
@@ -167,10 +167,17 @@ def test_tf11_boundary_conservation():
 
 def test_tf11_path_independence():
     ctx = q_ctx()
-    tf = tf11_extend(*ints(ctx, 4, -1, 2))
-    for s in slopes_in_box(6):
+    seeds = ints(ctx, 4, -1, 2)
+    tf = tf11_extend(*seeds)
+    box = slopes_in_box(6)
+    for s in box:
+        tf.query(s)
+    # a fresh function queried in reversed order fills its memo in another order
+    fresh = tf11_extend(*seeds)
+    for s in reversed(box):
+        assert fresh.query(s) == tf.values[s]
+    for s in box:
         base = tf.query(s)
-        assert tf.query_via(farey_walk(s), s) == base
         # a second route: derive f(s) from the deeper quadrilateral
         # (a, s; new completions) around its defining edge
         steps = farey_walk(s)
@@ -178,9 +185,6 @@ def test_tf11_path_independence():
             continue
         a, b = steps[-1].a, steps[-1].b
         for other in (a, b):
-            pair = set()
-            from sl2trace.farey import complete_triangle
-
             c1, c2 = complete_triangle(other, s)
             v = tf.query(other) * base - tf.query(c1)
             assert v == tf.query(c2)
@@ -292,8 +296,12 @@ def test_tf04_path_independence():
     ctx = q_ctx()
     rep = random_rep(rng, ctx, 3)
     tf = tf04_from_rep(rep)
-    for s in slopes_in_box(5):
-        assert tf.query_via(farey_walk(s), s) == tf.query(s)
+    box = slopes_in_box(5)
+    for s in box:
+        tf.query(s)
+    fresh = tf04_from_rep(rep)
+    for s in reversed(box):
+        assert fresh.query(s) == tf.values[s]
 
 
 def test_pm2_examples():
