@@ -44,9 +44,9 @@ EXCEPTIONAL_N = (5, 8)  # n of the n-holed sphere, for exceptional and certify
 WORD_MAX_LETTERS = 16  # after free reduction
 WORD_MAX_GENERATOR = 5
 SAMPLES_MAX = 1000
-SLOPE_MAX_WALK = 20000  # sum of partial quotients: a Farey walk's length
-# Over q each walk step adds about a seed's size to the values, so the walk
-# length times the seed size (its largest numerator or denominator
+SLOPE_MAX_WALK = 20000  # Farey walk steps of one job, summed over its slopes
+# Over q each walk step adds about a seed's size to the values, so the total
+# walk times the seed size (its largest numerator or denominator
 # bit_length) is capped; 20000 steps from one-digit seeds (4 bits) fit.
 WALK_SEED_BITS_MAX = 4 * SLOPE_MAX_WALK
 
@@ -119,30 +119,31 @@ def _read_int(item, what, lo=None, hi=None):
 
 
 def _read_slopes(payload):
-    """The optional slopes and the longest of their Farey walks; each walk
-    has at most SLOPE_MAX_WALK steps."""
+    """The optional slopes and the total length of their Farey walks, at
+    most SLOPE_MAX_WALK steps; a repeated slope counts each time."""
     slopes, walk = [], 0
     for text in _get(payload, "slopes", list) if "slopes" in payload else ():
         slope = _decode(Slope.parse, text, "slope")
-        p, q, length = abs(slope.p), slope.q, 0
-        while q:  # Euclid; the walk length is the sum of the partial quotients
-            length += p // q
+        p, q = abs(slope.p), slope.q
+        while q:  # Euclid; a walk's length is the sum of the partial quotients
+            walk += p // q
             p, q = q, p % q
-        if length > SLOPE_MAX_WALK:
-            raise InputError(f"slope {text!r} has walk length {length}, over {SLOPE_MAX_WALK}")
+            if walk > SLOPE_MAX_WALK:
+                raise InputError(f"the slopes' walks total over {SLOPE_MAX_WALK} steps "
+                                 f"(at slope {text!r})")
         slopes.append(slope)
-        walk = max(walk, length)
     return slopes, walk
 
 
 def _read_seeds(ctx, payload, key, count, walk):
-    """Seed scalars of a walk of `walk` steps, within WALK_SEED_BITS_MAX over q."""
+    """Seed scalars for walks of `walk` steps in total, within
+    WALK_SEED_BITS_MAX over q."""
     seeds = _read_scalars(ctx, payload, key, count)
     if characteristic(ctx) == 0:
         bits = max(n.bit_length() for v in seeds for x in v.coords
                    for n in (x.numerator, x.denominator))
         if walk * bits > WALK_SEED_BITS_MAX:
-            raise InputError(f"walk length {walk} x seed size {bits} bits is over "
+            raise InputError(f"total walk {walk} x seed size {bits} bits is over "
                              f"{WALK_SEED_BITS_MAX}")
     return seeds
 
@@ -186,10 +187,6 @@ def _read_partition_tf(payload):
     return PartitionTF.build(n, boundary, table)
 
 
-def _mat_json(m):
-    return [e.to_json() for e in m.entries()]
-
-
 def _report(spec, result, ctx=None):
     out = {
         "schema": SCHEMA,
@@ -211,7 +208,7 @@ def _report(spec, result, ctx=None):
 def _run_realize(spec):
     ctx = _ctx(spec)
     mats = realize_triple(*_read_scalars(ctx, spec.payload, "traces", 6), ctx)
-    return 0, _report(spec, {"matrices": [_mat_json(m) for m in mats]}, ctx)
+    return 0, _report(spec, {"matrices": [m.to_json() for m in mats]}, ctx)
 
 
 def _run_tracepoly(spec):
@@ -251,7 +248,7 @@ def _run_check05(spec):
     verdict = check_trace_function_05(_read_trace_data(ctx, spec.payload))
     result = {"verdict": verdict.kind}
     if verdict.kind == "character":
-        result["rep"] = [_mat_json(m) for m in verdict.rep.generators]
+        result["rep"] = [m.to_json() for m in verdict.rep.generators]
         return 0, _report(spec, result, ctx)
     if verdict.kind == "exceptional":
         return 0, _report(spec, result, ctx)
@@ -264,7 +261,7 @@ def _run_glue05(spec):
     verdict = glue_sigma05(_read_trace_data(ctx, spec.payload))
     result = {"verdict": verdict.kind}
     if verdict.kind == "rep":
-        result["rep"] = [_mat_json(m) for m in verdict.rep.generators]
+        result["rep"] = [m.to_json() for m in verdict.rep.generators]
         return 0, _report(spec, result, ctx)
     if verdict.kind == "exceptional-obstruction":
         result["detail"] = str(verdict.detail)

@@ -180,35 +180,20 @@ class TraceData05:
         """Values on the pants bounded by alpha_{2+r}, alpha_{5+r}, b_{4+r}."""
         return (self.alpha_value(2 + r), self.alpha_value(5 + r), self.boundary_value(4 + r))
 
-    def side_x(self, r=0):
-        """4-holed sphere bounded by alpha_{2+r} (contains b_{1+r}, b_{4+r},
-        b_{5+r}); generators (x_{4+r}, x_{5+r}, x_{1+r})."""
+    def side(self, k):
+        """4-holed sphere with generators (x_k, x_{k+1}, x_{k+2}), bounded
+        by b_k, b_{k+1}, b_{k+2} and alpha_{k+3}.  The rotation-r sides
+        are X = side(4 + r) and Y = side(2 + r)."""
         boundary = (
-            self.boundary_value(4 + r),
-            self.boundary_value(5 + r),
-            self.boundary_value(1 + r),
-            self.alpha_value(2 + r),
+            self.boundary_value(k),
+            self.boundary_value(k + 1),
+            self.boundary_value(k + 2),
+            self.alpha_value(k + 3),
         )
         triangle = (
-            self.alpha_value(4 + r),
-            self.alpha_value(5 + r),
-            self.value_of_word(_letter(4 + r) + _letter(1 + r)),
-        )
-        return TF04(boundary, triangle)
-
-    def side_y(self, r=0):
-        """4-holed sphere bounded by alpha_{5+r}; generators
-        (x_{2+r}, x_{3+r}, x_{4+r})."""
-        boundary = (
-            self.boundary_value(2 + r),
-            self.boundary_value(3 + r),
-            self.boundary_value(4 + r),
-            self.alpha_value(5 + r),
-        )
-        triangle = (
-            self.alpha_value(2 + r),
-            self.alpha_value(3 + r),
-            self.value_of_word(_letter(2 + r) + _letter(4 + r)),
+            self.alpha_value(k),
+            self.alpha_value(k + 1),
+            self.value_of_word(_letter(k) + _letter(k + 2)),
         )
         return TF04(boundary, triangle)
 
@@ -268,7 +253,7 @@ def harvest_known_values(data):
     alpha3 for alpha3 alpha2 and needs the quadrilateral partner
     (alpha3 alpha2) alpha2, propagated inside the side Y.
     """
-    tf_y = data.side_y(0)
+    tf_y = data.side(2)
     return {
         "a2": data.alpha_value(2),
         "a3": data.alpha_value(3),
@@ -517,8 +502,8 @@ def _match_diagonal_pairs(p1, p2, q1, q2):
 
 def _glue_rotation(data, r):
     """Rank-4 rep from the two sides of the rotation-r pentagon."""
-    tf_x = data.side_x(r)
-    tf_y = data.side_y(r)
+    tf_x = data.side(4 + r)
+    tf_y = data.side(2 + r)
     for name, tf in (("X", tf_x), ("Y", tf_y)):
         res = tf.residual()
         if not res.is_zero():
@@ -568,6 +553,8 @@ class CheckVerdict:
 
 
 def _exceptional_signature(data):
+    """±2 values, each boundary pair's pants irreducible; the caller has
+    already found all five middle pants reducible."""
     ctx = data.ctx
     if characteristic(ctx) == 2:
         return False
@@ -581,31 +568,26 @@ def _exceptional_signature(data):
         triple = (data.boundary_value(i), data.boundary_value(j), data.values[key])
         if sigma03_check(*triple).reducible:
             return False
-    return all(sigma03_check(*data.middle_triple(r)).reducible for r in range(5))
+    return True
 
 
 def check_trace_function_05(data):
     """Classify 15-value atlas data: character (with a witness rep),
-    exceptional, or invalid (with the violated constraint)."""
-    for r, side in (("X", data.side_x(0)), ("Y", data.side_y(0))):
-        res = side.residual()
+    exceptional, or invalid (with the violated constraint).
+
+    Glues the first rotation whose middle pants is irreducible, or
+    rotation 0 when all five are reducible; only then can the gluing meet
+    an obstruction, which is the exceptional case or no case at all."""
+    for name, k in (("X", 4), ("Y", 2)):
+        res = data.side(k).residual()
         if not res.is_zero():
-            return CheckVerdict("invalid", witness=(f"side-{r}-residual", res))
-    for r in range(5):
-        if not sigma03_check(*data.middle_triple(r)).reducible:
-            verdict = _glue_rotation(data, r)
-            if verdict.kind == "rejected":
-                return CheckVerdict("invalid", witness=("side-residual", verdict.detail))
-            if verdict.kind != "rep":
-                return CheckVerdict("invalid", witness=("glue", verdict.detail))
-            return _compare_with_rep(data, verdict.rep)
-    # every atlas middle pants is reducible
-    tf_x, tf_y = data.side_x(0), data.side_y(0)
-    if tf_x.reducible() and tf_y.reducible():
-        verdict = _glue_rotation(data, 0)
-        if verdict.kind == "rep":
-            return _compare_with_rep(data, verdict.rep)
-        return CheckVerdict("invalid", witness=("glue", verdict.detail))
+            return CheckVerdict("invalid", witness=(f"side-{name}-residual", res))
+    r = next((r for r in range(5) if not sigma03_check(*data.middle_triple(r)).reducible), 0)
+    verdict = _glue_rotation(data, r)
+    if verdict.kind == "rep":
+        return _compare_with_rep(data, verdict.rep)
+    if verdict.kind == "rejected":
+        return CheckVerdict("invalid", witness=("side-residual", verdict.detail))
     if _exceptional_signature(data):
         return CheckVerdict("exceptional")
     return CheckVerdict("invalid", witness=("no-admissible-branch", None))

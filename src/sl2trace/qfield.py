@@ -321,15 +321,15 @@ class TowerContext:
         that is already a square would create zero divisors, so this
         must never report a false negative.
         """
-        key = (elt._trim().level, elt._trim().coords)
+        key = (elt.level, elt.coords)
         if key in self._sqrt_cache:
             return self._sqrt_cache[key]
-        elt = elt.lift(len(self.levels))
         if self.base.characteristic == 2:
             result = self._sqrt_char2(elt)
         else:
-            coords = self._sqrt_rec(elt.level, elt.coords)
-            result = None if coords is None else TowerElement(self, elt.level, coords)._trim()
+            top = len(self.levels)
+            coords = self._sqrt_rec(top, self._lift(elt.coords, elt.level, top))
+            result = None if coords is None else TowerElement(self, top, coords)._trim()
         self._sqrt_cache[key] = result
         return result
 
@@ -384,7 +384,6 @@ class TowerContext:
 
     def adjoin_sqrt(self, d):
         """Append a level with a formal sqrt of d; returns the new root."""
-        d = d.lift_min()
         if d.is_zero():
             raise FieldError("cannot adjoin sqrt(0) as a tower level")
         self.levels.append(TowerLevel("sqrt", d))
@@ -393,7 +392,6 @@ class TowerContext:
 
     def adjoin_artin_schreier(self, c):
         """Append a char-2 level with theta^2 = theta + c; returns theta."""
-        c = c.lift_min()
         self.levels.append(TowerLevel("as", c))
         self._sqrt_cache = {}
         return self.generator(len(self.levels))
@@ -426,7 +424,10 @@ class TowerContext:
 
 
 class TowerElement:
-    """Immutable element of a TowerContext, in trimmed canonical form."""
+    """Immutable element of a TowerContext, in trimmed canonical form: at
+    level > 0 the top half of `coords` is nonzero.  Every operation and
+    constructor returns trimmed elements, so equality and hashing compare
+    `level` and `coords` as stored."""
 
     __slots__ = ("ctx", "level", "coords")
 
@@ -445,28 +446,20 @@ class TowerElement:
             return self
         return TowerElement(ctx, level, coords)
 
-    def lift(self, level):
-        if level < self.level:
-            raise FieldError("cannot lower an element's level")
-        if level == self.level:
-            return self
-        return TowerElement(self.ctx, level, self.ctx._lift(self.coords, self.level, level))
-
-    def lift_min(self):
-        return self._trim()
-
     def is_zero(self):
         return self.ctx._is_zero(self.coords)
 
     def _pair(self, other):
+        """(level, x, y): both operands' coordinates at the larger level, or None."""
         if isinstance(other, int):
             other = self.ctx.from_int(other)
         if not isinstance(other, TowerElement):
-            return None, None
+            return None
         if other.ctx is not self.ctx:
             raise FieldError("operands belong to different towers")
         lev = max(self.level, other.level)
-        return self.lift(lev), other.lift(lev)
+        lift = self.ctx._lift
+        return lev, lift(self.coords, self.level, lev), lift(other.coords, other.level, lev)
 
     def _level0(self, other):
         """Both operands rational elements of this tower: the fast path."""
@@ -476,20 +469,22 @@ class TowerElement:
     def __add__(self, other):
         if self._level0(other):
             return TowerElement(self.ctx, 0, (self.ctx.base.add(self.coords[0], other.coords[0]),))
-        a, b = self._pair(other)
-        if a is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return TowerElement(self.ctx, a.level, self.ctx._add(a.coords, b.coords))._trim()
+        lev, x, y = pair
+        return TowerElement(self.ctx, lev, self.ctx._add(x, y))._trim()
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if self._level0(other):
             return TowerElement(self.ctx, 0, (self.ctx.base.sub(self.coords[0], other.coords[0]),))
-        a, b = self._pair(other)
-        if a is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return TowerElement(self.ctx, a.level, self.ctx._sub(a.coords, b.coords))._trim()
+        lev, x, y = pair
+        return TowerElement(self.ctx, lev, self.ctx._sub(x, y))._trim()
 
     def __rsub__(self, other):
         if type(other) is int and self.level == 0:
@@ -505,21 +500,22 @@ class TowerElement:
     def __mul__(self, other):
         if self._level0(other):
             return TowerElement(self.ctx, 0, (self.ctx.base.mul(self.coords[0], other.coords[0]),))
-        a, b = self._pair(other)
-        if a is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return TowerElement(self.ctx, a.level, self.ctx._mul(a.level, a.coords, b.coords))._trim()
+        lev, x, y = pair
+        return TowerElement(self.ctx, lev, self.ctx._mul(lev, x, y))._trim()
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        if b.is_zero():
+        lev, _, y = pair
+        if self.ctx._is_zero(y):
             raise FieldError("division by zero")
-        binv = TowerElement(self.ctx, b.level, self.ctx._inv(b.level, b.coords))._trim()
-        return a * binv
+        return self * TowerElement(self.ctx, lev, self.ctx._inv(lev, y))._trim()
 
     def __rtruediv__(self, other):
         return self.ctx.from_int(other) / self
@@ -541,22 +537,16 @@ class TowerElement:
             other = self.ctx.from_int(other)
         if not isinstance(other, TowerElement):
             return NotImplemented
-        if other.ctx is not self.ctx:
-            return False
-        a, b = self._trim(), other._trim()
-        return a.level == b.level and a.coords == b.coords
+        return other.ctx is self.ctx and self.level == other.level and self.coords == other.coords
 
     def __hash__(self):
-        t = self._trim()
-        return hash((t.level, t.coords))
+        return hash((self.level, self.coords))
 
     def __repr__(self):
-        t = self._trim()
-        return f"Tower({t.level}; {', '.join(self.ctx.base.fmt(v) for v in t.coords)})"
+        return f"Tower({self.level}; {', '.join(self.ctx.base.fmt(v) for v in self.coords)})"
 
     def to_json(self):
-        t = self._trim()
-        return {"level": t.level, "coords": [self.ctx.base.fmt(v) for v in t.coords]}
+        return {"level": self.level, "coords": [self.ctx.base.fmt(v) for v in self.coords]}
 
     @classmethod
     def from_json(cls, ctx, obj):
@@ -577,7 +567,6 @@ def solve_quadratic(ctx, a, b):
 
     Returned roots satisfy r1 + r2 == -a and r1 * r2 == b exactly.
     """
-    a, b = a.lift_min(), b.lift_min()
     if ctx.base.characteristic == 2:
         return _solve_quadratic_char2(ctx, a, b)
     two = ctx.from_int(2)
@@ -606,15 +595,13 @@ def _artin_schreier_root(ctx, c):
     """Solve y^2 + y = c inside the current char-2 tower, or None."""
     top = len(ctx.levels)
     n = 1 << top
-    c = c.lift(top)
+    target = ctx._lift(c.coords, c.level, top)
     # y -> y^2 + y is F_2-linear in the coordinates; solve by elimination
     cols = []
     for i in range(n):
-        coords = tuple(ctx.base.one if j == i else ctx.base.zero for j in range(n))
-        e = TowerElement(ctx, top, coords)
-        img = (e * e + e).lift(top)
-        cols.append([v % 2 for v in img.coords])
-    rows = [[cols[j][i] for j in range(n)] + [c.coords[i] % 2] for i in range(n)]
+        e = tuple(ctx.base.one if j == i else ctx.base.zero for j in range(n))
+        cols.append([v % 2 for v in ctx._add(ctx._mul(top, e, e), e)])
+    rows = [[cols[j][i] for j in range(n)] + [target[i] % 2] for i in range(n)]
     piv = []
     r = 0
     for col in range(n):

@@ -287,31 +287,23 @@ def _pm2(x):
     return x == ctx.from_int(2) or x == ctx.from_int(-2)
 
 
-_ROTATE = {0: (0, 1, 2, 3, 4, 5), 1: (1, 2, 0, 4, 5, 3), 2: (2, 0, 1, 5, 3, 4)}
-
-
-def _rotate_tuple(ts, r):
-    perm = _ROTATE[r]
-    return tuple(ts[i] for i in perm)
-
-
-def _unrotate_mats(mats, r):
-    if r == 0:
-        return mats
-    if r == 1:  # solved for (2,3,1)
-        return (mats[2], mats[0], mats[1])
-    return (mats[1], mats[2], mats[0])
+def _rotated(solve, ts, r, ctx):
+    """solve() on the generators relabelled from 1 + r, its matrices put
+    back in the original order."""
+    gens = [ts[(i + r) % 3] for i in range(3)]
+    pairs = [ts[3 + (i + r) % 3] for i in range(3)]
+    mats = solve(*gens, *pairs, ctx)
+    return tuple(mats[(i - r) % 3] for i in range(3))
 
 
 def _realize(t1, t2, t3, t12, t23, t31, ctx):
     ts = (t1, t2, t3, t12, t23, t31)
     for r in range(3):
-        if not _pm2(ts[_ROTATE[r][0]]):
-            return _unrotate_mats(_realize_case1(*_rotate_tuple(ts, r), ctx), r)
+        if not _pm2(ts[r]):
+            return _rotated(_realize_case1, ts, r, ctx)
     for r in range(3):
         if not _pm2(ts[3 + r]):
-            rot = _rotate_tuple(ts, r)
-            return _unrotate_mats(_realize_case2(*rot, ctx), r)
+            return _rotated(_realize_case2, ts, r, ctx)
     return _realize_case3(ts, ctx)
 
 

@@ -216,13 +216,15 @@ PROBES = [
     ["realize", "--json", json.dumps({"traces": "123456"})],
     ["realize", "--field", "zz", "--json", json.dumps({"traces": ["2"] * 6})],
     ["realize", "--field", "fp:4", "--json", json.dumps({"traces": ["2"] * 6})],
-    # past the caps on field primes (2^31), q scalars ([+-]digits(/digits)?), walks (20000)
-    # and, over q, walk length x seed bits (80000)
+    # past the caps on field primes (2^31), q scalars ([+-]digits(/digits)?), a job's
+    # total walk (20000, a repeated slope counting each time) and, over q, total walk x
+    # seed bits (80000)
     ["realize", "--field", "fp:2305843009213693951", "--json", json.dumps({"traces": ["2"] * 6})],
     ["variety", "--json", json.dumps({"point": ["1e999999999"] + ["0"] * 6})],
     ["variety", "--json", json.dumps({"point": ["0.5"] + ["0"] * 6})],
     ["propagate", "--json", payload_with(SIGMA11, slopes=["1/100000000000000"])],
     ["propagate", "--json", payload_with(SIGMA11, slopes=["1/20001"])],
+    ["propagate", "--json", payload_with(SIGMA11, slopes=["1/10000", "1/10001"])],
     ["propagate", "--json", payload_with(
         SIGMA11, triangle=["10000000000000000000000000000000000000000000000007", "3", "3"],
         slopes=["1/20000"])],

@@ -261,6 +261,35 @@ def test_check05_invalid_residual():
     assert verdict.witness is not None
 
 
+# One +-2 dataset per branch of the decision: the keys valued -2 (all
+# others 2), the verdict and the witness tag, with the side named for a
+# rejection in a rotated pentagon.
+CHECK05_BRANCHES = [
+    ((), "character", None),
+    (("234",), "invalid", "side-X-residual"),
+    (("34",), "invalid", "side-Y-residual"),
+    (("23", "234"), "invalid", "side-residual X"),
+    (("23", "24", "34", "234"), "invalid", "side-residual Y"),
+    (("134",), "invalid", "value-mismatch"),
+    (FIFTEEN_KEYS[5:], "exceptional", None),
+    (("12", "14", "23", "24", "34", "123", "234"), "invalid", "no-admissible-branch"),
+]
+
+
+@pytest.mark.parametrize("minus,kind,tag", CHECK05_BRANCHES,
+                         ids=[f"{kind}-{tag}".replace(" ", "-") for _, kind, tag in CHECK05_BRANCHES])
+def test_check05_every_branch(minus, kind, tag):
+    ctx = q_ctx()
+    data = TraceData05({k: ctx.from_int(-2 if k in minus else 2) for k in FIFTEEN_KEYS})
+    verdict = check_trace_function_05(data)
+    assert verdict.kind == kind
+    witness = verdict.witness
+    got = None if witness is None else witness[0]
+    if got == "side-residual":
+        got += " " + witness[1][0]
+    assert got == tag
+
+
 def test_check05_json_roundtrip():
     rng = random.Random(10)
     ctx = q_ctx()

@@ -121,15 +121,6 @@ def test_append_only_values_stable():
     assert before == after == ctx.one
 
 
-def test_lift_roundtrip_and_equality():
-    ctx = q_ctx()
-    solve_quadratic(ctx, ctx.zero, ctx.from_int(-5))
-    x = ctx.from_rational(3, 7)
-    assert x.lift(1)._trim() == x
-    assert x.lift(1) == x
-    assert hash(x.lift(1)) == hash(x)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
 def test_field_axioms_rational(a, b, c):
@@ -349,6 +340,37 @@ def test_sparse_kernel_matches_dense_reference(spec, defining):
         root = ctx.sqrt_in_tower(square)
         assert root is not None
         assert ref_mul(ctx, ref_poly(ctx, root), ref_poly(ctx, root)) == ref_poly(ctx, square)
+
+
+def test_results_are_canonical():
+    ctx = q_ctx()
+    s5, _ = solve_quadratic(ctx, ctx.zero, ctx.from_int(-5))
+    x = (ctx.one + s5) - s5
+    assert x.level == 0
+    assert x == ctx.one
+    assert hash(x) == hash(ctx.one)
+    untrimmed = {"level": 1, "coords": ["3/7", "0/1"]}
+    assert TowerElement.from_json(ctx, untrimmed) == ctx.from_rational(3, 7)
+
+
+@pytest.mark.parametrize("spec,defining", TOWERS,
+                         ids=[f"{s}-h{len(d)}-{i}" for i, (s, d) in enumerate(TOWERS)])
+def test_operations_return_trimmed(spec, defining):
+    ctx = build_tower(spec, defining)
+    height = len(ctx.levels)
+    rng = random.Random(f"trim:{spec}:{defining}")
+    for sx in SHAPES:
+        for sy in SHAPES:
+            x, y = random_operand(ctx, rng, sx), random_operand(ctx, rng, sy)
+            results = [x + y, x - y, x * y, -x]
+            if not y.is_zero():
+                results.append(x / y)
+            results.extend(solve_quadratic(ctx, -(x + y), x * y))  # roots x and y
+            results.extend(r for r in (ctx.sqrt_in_tower(x * x), ctx.sqrt_in_tower(x))
+                           if r is not None)
+            for r in results:
+                assert r._trim() is r
+    assert len(ctx.levels) == height
 
 
 class CountingBase(RationalBase):
