@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .fricke import Word
 
@@ -15,25 +14,24 @@ class FareyError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=False)
-class Slope:
-    """Reduced fraction p/q with q >= 0; infinity is 1/0."""
+class Slope(namedtuple("Slope", "p q")):
+    """Reduced fraction p/q with q >= 0; infinity is 1/0.
 
-    p: int
-    q: int
+    A Slope is the tuple (p, q): it equals and hashes like its vector.
+    Tuple order is lexicographic on (p, q), not the order on Q."""
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    __slots__ = ()
+
+    def __new__(cls, p, q):
         if q > 0 and math.gcd(p, q) == 1:
-            return
+            return tuple.__new__(cls, (p, q))
         if q == 0 and p == 0:
             raise FareyError("0/0 is not a slope")
-        g = math.gcd(abs(p), abs(q))
+        g = math.gcd(p, q)
         p, q = p // g, q // g
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        return tuple.__new__(cls, (p, q))
 
     @classmethod
     def parse(cls, text):
@@ -82,11 +80,6 @@ class FareyStep(namedtuple("FareyStep", "a b old new")):
         return [str(self.a), str(self.b), str(self.old), str(self.new)]
 
 
-def _lt(u, v):
-    """Order on slope vectors with q >= 0; (-1,0) acts as -oo, (1,0) as +oo."""
-    return u[0] * v[1] < v[0] * u[1]
-
-
 def farey_walk(target):
     """Deterministic quadrilateral walk from the base triangle to target.
 
@@ -97,31 +90,27 @@ def farey_walk(target):
         target = Slope.parse(str(target))
     if target in BASE_TRIANGLE:
         return []
-    steps = []
-    t = target.vector()
-    # vectors drive the descent ((-1, 0) is -oo); the *_s names hold
-    # their slopes, so each step builds only the mediant's Slope
-    if target.p < 0:
-        lo, hi, med = (-1, 0), (0, 1), (-1, 1)
-        lo_s, hi_s = INF, ZERO
-        steps.append(FareyStep(ZERO, INF, ONE, Slope(-1, 1)))
-    elif _lt(t, (1, 1)):
-        lo, hi, med = (0, 1), (1, 1), (1, 2)
-        lo_s, hi_s = ZERO, ONE
-        steps.append(FareyStep(ZERO, ONE, INF, Slope(1, 2)))
+    # the mediant of Farey neighbours is reduced with q > 0, so each new
+    # Slope and FareyStep is built as a tuple, with no gcd
+    new = tuple.__new__
+    tp, tq = target
+    # lo is a vector ((-1, 0) is -oo) and lo_s its slope; hi is a slope
+    if tp < 0:
+        lo, lo_s, hi, med = (-1, 0), INF, ZERO, new(Slope, (-1, 1))
+        steps = [new(FareyStep, (ZERO, INF, ONE, med))]
+    elif tp < tq:
+        lo, lo_s, hi, med = ZERO, ZERO, ONE, new(Slope, (1, 2))
+        steps = [new(FareyStep, (ZERO, ONE, INF, med))]
     else:
-        lo, hi, med = (1, 1), (1, 0), (2, 1)
-        lo_s, hi_s = ONE, INF
-        steps.append(FareyStep(ONE, INF, ZERO, Slope(2, 1)))
-    med_s = steps[-1].new
-    while med != t:
-        if _lt(t, med):
-            hi, hi_s, third_s = med, med_s, hi_s
+        lo, lo_s, hi, med = ONE, ONE, INF, new(Slope, (2, 1))
+        steps = [new(FareyStep, (ONE, INF, ZERO, med))]
+    while med != target:
+        if tp * med[1] < med[0] * tq:
+            hi, third = med, hi
         else:
-            lo, lo_s, third_s = med, med_s, lo_s
-        med = (lo[0] + hi[0], lo[1] + hi[1])
-        med_s = Slope(*med)
-        steps.append(FareyStep(lo_s, hi_s, third_s, med_s))
+            lo, lo_s, third = med, med, lo_s
+        med = new(Slope, (lo[0] + hi[0], lo[1] + hi[1]))
+        steps.append(new(FareyStep, (lo_s, hi, third, med)))
     return steps
 
 

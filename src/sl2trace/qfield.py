@@ -4,7 +4,10 @@ The base field is Q or a prime field F_p.  Each tower level adjoins one
 root of a monic quadratic: a square root of a non-square discriminant in
 odd or zero characteristic, or an Artin-Schreier root (x^2 = x + c) in
 characteristic 2.  Elements carry canonical coefficient tuples over the
-base, so structural equality is field equality.
+base, so structural equality is field equality.  Over Q the base gives
+integers as `int` and other rationals as `Fraction`; a `Fraction` with
+denominator 1 that Fraction arithmetic leaves behind compares, hashes and
+prints like its `int`.
 """
 
 from __future__ import annotations
@@ -28,17 +31,47 @@ def too_many_digits():
 # base fields
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # the scalar grammar over Q
-PRIME_MAX = 1 << 31  # trial division below it takes at most 46 341 steps
+PRIME_MAX = 1 << 31  # primes are tested by Miller-Rabin, exact below it
+
+
+def _rational(x):
+    """A Fraction as an int when it is an integer, else itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin on the bases 2, 3, 5 and 7: exact for
+    n < 3 215 031 751, the least strong pseudoprime to all four."""
+    if n < 2:
+        return False
+    for k in (2, 3, 5, 7):
+        if n % k == 0:
+            return n == k
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class RationalBase:
     characteristic = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, x, y):
         return x + y
@@ -55,7 +88,7 @@ class RationalBase:
     def div(self, x, y):
         if y == 0:
             raise FieldError("division by zero")
-        return x / y
+        return _rational(Fraction(x, y))
 
     def sqrt(self, x):
         """Exact square root of a rational, or None."""
@@ -64,13 +97,13 @@ class RationalBase:
         num, den = x.numerator, x.denominator
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn == num and rd * rd == den:
-            return Fraction(rn, rd)
+            return _rational(Fraction(rn, rd))
         return None
 
     def parse(self, s):
         if not _RATIONAL.fullmatch(s):
             raise FieldError(f"expected an integer or p/q, got {s!r}")
-        return Fraction(s)
+        return _rational(Fraction(s))
 
     def fmt(self, x):
         try:
@@ -90,7 +123,7 @@ class RationalBase:
 
 class PrimeBase:
     def __init__(self, p):
-        if not 2 <= p < PRIME_MAX or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        if not 2 <= p < PRIME_MAX or not _is_prime(p):
             raise FieldError(f"{p} is not a prime below 2^31")
         self.p = p
         self.characteristic = p
@@ -213,8 +246,6 @@ class TowerContext:
         return self.from_base(self.base.one)
 
     def from_rational(self, num, den=1):
-        if self.base.characteristic == 0:
-            return self.from_base(Fraction(num, den))
         return self.from_base(self.base.div(self.base.from_int(num), self.base.from_int(den)))
 
     def parse(self, s):
@@ -253,7 +284,7 @@ class TowerContext:
         return tuple(mul(a, c) if a else a for a in x)
 
     def _is_zero(self, x):
-        return not any(x)  # coordinates are canonical: a Fraction or an int mod p
+        return not any(x)  # coordinates are numbers: an int or Fraction over Q, an int mod p
 
     def _mul_low(self, x, e):
         """x times the element e of a level at most x's, at x's level: a

@@ -98,15 +98,17 @@ class TF11:
         return (self.values[ZERO], self.values[INF], self.values[ONE])
 
     def query(self, slope):
-        if slope not in self.values:
-            for step in farey_walk(slope):
-                if step.new in self.values:
+        values = self.values
+        if slope not in values:
+            check = self._check
+            for a, b, old, new in farey_walk(slope):
+                if new in values:
                     continue
-                v = self.values[step.a] * self.values[step.b] - self.values[step.old]
-                if self._check:
-                    self._check(v)
-                self.values[step.new] = v
-        return self.values[slope]
+                v = values[a] * values[b] - values[old]
+                if check:
+                    check(v)
+                values[new] = v
+        return values[slope]
 
     def reducible(self):
         return delta_values(*self.seed()).is_zero()
@@ -181,19 +183,17 @@ class TF04:
         return tf04_residual(self.boundary, self.seed())
 
     def query(self, slope):
-        if slope not in self.values:
-            for step in farey_walk(slope):
-                if step.new in self.values:
+        values = self.values
+        if slope not in values:
+            check, terms = self._check, self.pair_terms
+            for a, b, old, new in farey_walk(slope):
+                if new in values:
                     continue
-                v = (
-                    -self.values[step.a] * self.values[step.b]
-                    + self.pair_terms[step.new.p % 2, step.new.q % 2]
-                    - self.values[step.old]
-                )
-                if self._check:
-                    self._check(v)
-                self.values[step.new] = v
-        return self.values[slope]
+                v = terms[new[0] & 1, new[1] & 1] - values[a] * values[b] - values[old]
+                if check:
+                    check(v)
+                values[new] = v
+        return values[slope]
 
     def triangle_residual(self, a, b, c):
         """The character relation at the Farey triangle (a, b, c), in any order."""

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -27,6 +28,40 @@ def test_slope_canonicalization():
     assert str(Slope.parse("1/0")) == "1/0"
     with pytest.raises(FareyError):
         Slope(0, 0)
+
+
+def test_slope_is_its_vector():
+    for p, q in ((1, 2), (-3, 5), (1, 0), (0, 1), (144, 89)):
+        s = Slope(p, q)
+        assert s == (p, q) and (p, q) == s
+        assert hash(s) == hash((p, q))
+        assert s.vector() == (p, q) and (s.p, s.q) == (p, q)
+        assert {s: 1}[(p, q)] == 1  # a memo keyed by slopes answers vectors
+    assert Slope(3, -6) == (-1, 2)
+    assert Slope(-2, 0) == (1, 0)
+    assert Slope(p=4, q=6) == (2, 3)
+    assert str(Slope(-3, 5)) == "-3/5"
+    assert repr(Slope(-3, 5)) == "Slope(p=-3, q=5)"
+    assert Slope.parse("-6/4") == (-3, 2) and Slope.parse("7") == (7, 1)
+
+
+def test_farey_walk_steps_hold_reduced_slopes():
+    for target in slopes_in_box(15) + [Slope(-89, 144), Slope(1, 60), Slope(-60, 1)]:
+        for step in farey_walk(target):
+            for s in step:
+                assert type(s) is Slope
+                assert s.q >= 0 and math.gcd(s.p, s.q) == 1
+                assert Slope(*s) == s and tuple.__eq__(Slope(s.p, s.q), s)
+    steps = farey_walk(Slope(-3, 5))
+    assert [s.to_json() for s in steps] == [
+        ["0/1", "1/0", "1/1", "-1/1"], ["-1/1", "0/1", "1/0", "-1/2"],
+        ["-1/1", "-1/2", "0/1", "-2/3"], ["-2/3", "-1/2", "-1/1", "-3/5"]]
+    assert repr(steps[0]) == ("FareyStep(a=Slope(p=0, q=1), b=Slope(p=1, q=0), "
+                              "old=Slope(p=1, q=1), new=Slope(p=-1, q=1))")
+    assert [s.to_json() for s in farey_walk(Slope(3, 5))] == [
+        ["0/1", "1/1", "1/0", "1/2"], ["1/2", "1/1", "0/1", "2/3"], ["1/2", "2/3", "1/1", "3/5"]]
+    assert [s.to_json() for s in farey_walk(Slope(5, 2))] == [
+        ["1/1", "1/0", "0/1", "2/1"], ["2/1", "1/0", "1/1", "3/1"], ["2/1", "3/1", "1/0", "5/2"]]
 
 
 def test_is_neighbor_examples():

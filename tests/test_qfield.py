@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sl2trace.planar import FIFTEEN_KEYS, TraceData05, check_trace_function_05
 from sl2trace.qfield import (
+    PRIME_MAX,
     FieldError,
     PrimeBase,
     RationalBase,
@@ -14,6 +15,7 @@ from sl2trace.qfield import (
     TowerElement,
     base_from_spec,
     characteristic,
+    _is_prime,
     solve_quadratic,
 )
 
@@ -202,8 +204,33 @@ def test_base_from_spec():
     with pytest.raises(FieldError):
         base_from_spec("fp:6")
     assert base_from_spec("fp:2147483647").characteristic == 2**31 - 1
-    with pytest.raises(FieldError):  # prime, but past the trial-division cap
+    with pytest.raises(FieldError):  # prime, but past PRIME_MAX
         base_from_spec("fp:2305843009213693951")
+
+
+def test_primality_matches_trial_division():
+    n = 10**5
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for k in range(2, int(n**0.5) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytearray(len(range(k * k, n, k)))
+    assert [m for m in range(n) if _is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+
+def test_primality_strong_pseudoprimes_and_the_cap():
+    # the least strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5
+    for n in (2047, 1_373_653, 25_326_001):
+        assert not _is_prime(n)
+        with pytest.raises(FieldError):
+            PrimeBase(n)
+    assert PrimeBase(2**31 - 1).p == 2**31 - 1
+    with pytest.raises(FieldError):
+        PrimeBase(2**31 - 3)  # 5 * 429496729
+    # the least strong pseudoprime to 2, 3, 5 and 7 = 151 * 751 * 28351 lies
+    # past PRIME_MAX, so every modulus PrimeBase accepts is tested exactly
+    assert _is_prime(3_215_031_751) and 3_215_031_751 == 151 * 751 * 28351
+    assert PRIME_MAX < 3_215_031_751
 
 
 def test_rational_scalar_grammar():
@@ -412,3 +439,99 @@ def test_check05_counts_base_products():
     assert verdict.kind == "character"
     assert len(ctx.levels) == 3
     assert ctx.base.products <= 6000
+
+
+# ---------------------------------------------------------------------------
+# integers over Q are ints
+
+
+def test_rational_base_keeps_integers_as_int():
+    base = RationalBase()
+    assert type(base.zero) is int and type(base.one) is int and type(base.from_int(7)) is int
+    for got, want in ((base.parse("4/2"), 2), (base.div(6, 3), 2), (base.sqrt(4), 2),
+                      (base.parse("-12"), -12), (base.div(Fraction(3, 2), Fraction(1, 2)), 3)):
+        assert type(got) is int and got == want
+    for got, want in ((base.div(1, 2), Fraction(1, 2)), (base.sqrt(Fraction(1, 4)), Fraction(1, 2)),
+                      (base.parse("6/4"), Fraction(3, 2))):
+        assert type(got) is Fraction and got == want
+    ctx = q_ctx()
+    assert type(ctx.from_rational(4, 2).coords[0]) is int
+    assert type(ctx.from_rational(1, 2).coords[0]) is Fraction
+
+
+def test_int_and_fraction_coordinates_agree():
+    ctx = q_ctx()
+    ctx.adjoin_sqrt(ctx.from_int(2))
+    for coords in ((3,), (0,), (-5, 2), (Fraction(1, 3), 4)):
+        level = len(coords).bit_length() - 1
+        as_int = TowerElement(ctx, level, coords)
+        as_frac = TowerElement(ctx, level, tuple(map(Fraction, coords)))
+        assert as_int == as_frac
+        assert hash(as_int) == hash(as_frac)
+        assert as_int.to_json() == as_frac.to_json()
+        assert repr(as_int) == repr(as_frac)
+
+
+class FractionBase(RationalBase):
+    """Q with every value a Fraction: the shadow of RationalBase."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+    def div(self, x, y):
+        if y == 0:
+            raise FieldError("division by zero")
+        return Fraction(x) / y
+
+    def sqrt(self, x):
+        r = RationalBase.sqrt(self, x)
+        return None if r is None else Fraction(r)
+
+    def parse(self, s):
+        return Fraction(RationalBase.parse(self, s))
+
+
+def test_int_backed_tower_matches_fraction_shadow():
+    """A seeded run of q-tower operations, on int-backed rationals and on a
+    Fraction-only shadow: every result and the tower print the same."""
+    rng = random.Random("int-vs-fraction")
+    ctx, shadow = q_ctx(), TowerContext(FractionBase())
+    pool, pool_s = [], []
+    for s in ("0", "1", "-2", "3", "5/2", "-7/3", "4/2"):
+        pool.append(ctx.parse(s))
+        pool_s.append(shadow.parse(s))
+    for step in range(300):
+        i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
+        op = rng.choice(("add", "sub", "mul", "div", "neg", "int", "sqrt", "solve"))
+        x, y, xs, ys = pool[i], pool[j], pool_s[i], pool_s[j]
+        if op == "add":
+            got = [(x + y, xs + ys)]
+        elif op == "sub":
+            got = [(x - y, xs - ys)]
+        elif op == "mul":
+            got = [(x * y, xs * ys)]
+        elif op == "div":
+            got = [] if y.is_zero() else [(x / y, xs / ys)]
+        elif op == "neg":
+            got = [(-x, -xs)]
+        elif op == "int":
+            k = rng.randint(-9, 9)
+            got = [(k - x, k - xs), (x * k, xs * k)]
+        elif op == "sqrt":
+            r, rs = ctx.sqrt_in_tower(x), shadow.sqrt_in_tower(xs)
+            assert (r is None) == (rs is None)
+            got = [] if r is None else [(r, rs)]
+        elif len(ctx.levels) < 3:  # keep the tower small
+            got = list(zip(solve_quadratic(ctx, x, y), solve_quadratic(shadow, xs, ys)))
+        else:
+            got = []
+        for v, vs in got:
+            assert json.dumps(v.to_json()) == json.dumps(vs.to_json()), (step, op)
+        if len(pool) < 40:
+            pool += [v for v, _ in got]
+            pool_s += [vs for _, vs in got]
+    assert len(ctx.levels) >= 1
+    assert json.dumps(ctx.to_json()) == json.dumps(shadow.to_json())

@@ -304,6 +304,23 @@ def test_tf04_path_independence():
         assert fresh.query(s) == tf.values[s]
 
 
+def test_memo_values_over_q_with_integer_seeds_stay_int():
+    """Over q, integer seeds give int coordinates at every memo entry, not
+    Fractions with denominator 1 (the cost of a step, not its value)."""
+    rng = random.Random(20)
+    ctx = q_ctx()
+    surfaces = [tf11_extend(*ints(ctx, 3, 3, 3)), tf11_extend(*ints(ctx, -2, 1, 0)),
+                tf04_extend(ints(ctx, 2, 2, 2, -2), ints(ctx, 2, 2, -2)),
+                tf04_from_rep(random_rep(rng, ctx, 3))]
+    for tf in surfaces:
+        for s in slopes_in_box(6) + [Slope(13, 8), Slope(-21, 34), Slope(1, 40)]:
+            tf.query(s)
+        assert len(tf.values) > 80
+        for slope, v in tf.values.items():
+            assert type(slope) is Slope
+            assert v.level == 0 and all(type(x) is int for x in v.coords), (slope, v)
+
+
 def test_pm2_examples():
     ctx = q_ctx()
     v = pm2_check(ints(ctx, 2, 2, 2, -2), ints(ctx, 2, 2, -2))
