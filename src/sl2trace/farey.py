@@ -72,7 +72,9 @@ def complete_triangle(r, s):
 class FareyStep(namedtuple("FareyStep", "a b old new")):
     """Quadrilateral step: (a, b, old) is a visited triangle and new is
     the other completion of the edge (a, b).  Built only by `farey_walk`,
-    whose Stern-Brocot descent makes every step a quadrilateral."""
+    whose Stern-Brocot descent makes every step a quadrilateral.  For a
+    positive target, a < new < b in Q: a and b are the interval
+    endpoints and new is their mediant."""
 
     __slots__ = ()
 
@@ -86,8 +88,6 @@ def farey_walk(target):
     Stern-Brocot descent: each step keeps the two interval endpoints,
     drops the third vertex, and adjoins the mediant.
     """
-    if not isinstance(target, Slope):
-        target = Slope.parse(str(target))
     if target in BASE_TRIANGLE:
         return []
     # the mediant of Farey neighbours is reduced with q > 0, so each new
@@ -128,32 +128,15 @@ def psl2z_act(matrix, r):
 
 def slope_word_torus(r):
     """Word of the simple closed curve of slope r, rank-2 conventions:
-    w(0/1) = x1, w(1/0) = x2, w(mediant) = w(left) w(right); negative
-    slopes apply x1 -> x1^-1 to the word of |r|."""
-    if not isinstance(r, Slope):
-        r = Slope.parse(str(r))
+    w(0/1) = x1, w(1/0) = x2, w(mediant) = w(left) w(right), built along
+    the walk to r; negative slopes apply x1 -> x1^-1 to the word of |r|."""
     if r.p < 0:
         pos = slope_word_torus(Slope(-r.p, r.q))
         return Word(tuple(-k if abs(k) == 1 else k for k in pos.letters))
-    return Word(_christoffel(r.p, r.q))
-
-
-def _christoffel(p, q):
-    if (p, q) == (0, 1):
-        return (1,)
-    if (p, q) == (1, 0):
-        return (2,)
-    lo, lo_w = (0, 1), (1,)
-    hi, hi_w = (1, 0), (2,)
-    while True:
-        med = (lo[0] + hi[0], lo[1] + hi[1])
-        med_w = lo_w + hi_w
-        if med == (p, q):
-            return med_w
-        if p * med[1] < med[0] * q:
-            hi, hi_w = med, med_w
-        else:
-            lo, lo_w = med, med_w
+    words = {ZERO: (1,), INF: (2,), ONE: (1, 2)}
+    for a, b, _, new in farey_walk(r):
+        words[new] = words[a] + words[b]  # a < new < b
+    return Word(words[r])
 
 
 def slopes_in_box(bound):

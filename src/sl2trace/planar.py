@@ -421,10 +421,14 @@ def harvest_p_values(data, primed):
 
 
 @dataclass
-class GlueVerdict:
-    kind: str  # "rep" | "exceptional-obstruction" | "rejected"
+class Verdict:
+    """The verdict of `glue_sigma05` ("rep", "exceptional-obstruction" or
+    "rejected") or of `check_trace_function_05` ("character",
+    "exceptional" or "invalid"), with the glued rep or the witness."""
+
+    kind: str
     rep: object = None
-    detail: object = None
+    witness: object = None
 
 
 def _nullspace_vector(rows, ctx):
@@ -507,7 +511,7 @@ def _glue_rotation(data, r):
     for name, tf in (("X", tf_x), ("Y", tf_y)):
         res = tf.residual()
         if not res.is_zero():
-            return GlueVerdict("rejected", detail=(name, res))
+            return Verdict("rejected", witness=(name, res))
     if not sigma03_check(*data.middle_triple(r)).reducible:
         xs = tf04_realize(tf_x).generators  # images of x_{4+r}, x_{5+r}, x_{1+r}
         ys = tf04_realize(tf_y).generators  # images of x_{2+r}, x_{3+r}, x_{4+r}
@@ -517,8 +521,8 @@ def _glue_rotation(data, r):
         ys = diagonalize_family(tf04_realize(tf_y).generators)
         match = _match_diagonal_pairs
     else:
-        return GlueVerdict("exceptional-obstruction",
-                           detail="middle pants reducible but a side is irreducible")
+        return Verdict("exceptional-obstruction",
+                       witness="middle pants reducible but a side is irreducible")
     s = match((xs[0] * xs[1] * xs[2]).inverse(), xs[0], ys[0] * ys[1], ys[2])
     si = s.inverse()
     names = {
@@ -533,7 +537,7 @@ def _glue_rotation(data, r):
     rep = Rep([names[1], names[2], names[3], names[4]])
     if rep.image(_X5) != names[5]:
         raise PlanarError("glued rep violates the boundary relation")
-    return GlueVerdict("rep", rep=rep)
+    return Verdict("rep", rep=rep)
 
 
 def glue_sigma05(data):
@@ -543,13 +547,6 @@ def glue_sigma05(data):
 
 # ---------------------------------------------------------------------------
 # the full decision for 15-value data
-
-
-@dataclass
-class CheckVerdict:
-    kind: str  # "character" | "exceptional" | "invalid"
-    rep: object = None
-    witness: object = None
 
 
 def _exceptional_signature(data):
@@ -581,26 +578,26 @@ def check_trace_function_05(data):
     for name, k in (("X", 4), ("Y", 2)):
         res = data.side(k).residual()
         if not res.is_zero():
-            return CheckVerdict("invalid", witness=(f"side-{name}-residual", res))
+            return Verdict("invalid", witness=(f"side-{name}-residual", res))
     r = next((r for r in range(5) if not sigma03_check(*data.middle_triple(r)).reducible), 0)
     verdict = _glue_rotation(data, r)
     if verdict.kind == "rep":
         return _compare_with_rep(data, verdict.rep)
     if verdict.kind == "rejected":
-        return CheckVerdict("invalid", witness=("side-residual", verdict.detail))
+        return Verdict("invalid", witness=("side-residual", verdict.witness))
     if _exceptional_signature(data):
-        return CheckVerdict("exceptional")
-    return CheckVerdict("invalid", witness=("no-admissible-branch", None))
+        return Verdict("exceptional")
+    return Verdict("invalid", witness=("no-admissible-branch", None))
 
 
 def _compare_with_rep(data, rep):
     got = TraceData05.from_rep(rep)
     for key in FIFTEEN_KEYS:
         if got.values[key] != data.values[key]:
-            return CheckVerdict(
+            return Verdict(
                 "invalid", witness=("value-mismatch", (key, data.values[key], got.values[key]))
             )
-    return CheckVerdict("character", rep=rep)
+    return Verdict("character", rep=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -897,13 +894,10 @@ def partition_tf_to_trace_data(tf, ctx):
     return TraceData05(vals)
 
 
-def certify_exceptional(tf, ctx=None):
+def certify_exceptional(tf, ctx):
     """Certificate that a partition TF is exceptional: every embedded
     4-holed sphere carries character data, pants reducibility matches
     the exceptional pattern, and gluing obstructs."""
-    from .qfield import TowerContext
-
-    ctx = ctx if ctx is not None else TowerContext()
     if characteristic(ctx) == 2:
         raise PlanarError("exceptional certificates need characteristic != 2")
     cert = {"n": tf.n}

@@ -31,6 +31,7 @@ def too_many_digits():
 # base fields
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # the scalar grammar over Q
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # the scalar grammar over F_p
 PRIME_MAX = 1 << 31  # primes are tested by Miller-Rabin, exact below it
 
 
@@ -114,9 +115,6 @@ class RationalBase:
     def spec(self):
         return "q"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalBase)
-
     def __repr__(self):
         return "Q"
 
@@ -182,6 +180,8 @@ class PrimeBase:
         return r
 
     def parse(self, s):
+        if not _INTEGER.fullmatch(s):
+            raise FieldError(f"expected an integer, got {s!r}")
         return int(s) % self.p
 
     def fmt(self, x):
@@ -189,9 +189,6 @@ class PrimeBase:
 
     def spec(self):
         return f"fp:{self.p}"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeBase) and other.p == self.p
 
     def __repr__(self):
         return f"F{self.p}"
@@ -227,7 +224,6 @@ class TowerContext:
     def __init__(self, base=None):
         self.base = base if base is not None else RationalBase()
         self.levels = []
-        self._sqrt_cache = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -352,17 +348,11 @@ class TowerContext:
         that is already a square would create zero divisors, so this
         must never report a false negative.
         """
-        key = (elt.level, elt.coords)
-        if key in self._sqrt_cache:
-            return self._sqrt_cache[key]
         if self.base.characteristic == 2:
-            result = self._sqrt_char2(elt)
-        else:
-            top = len(self.levels)
-            coords = self._sqrt_rec(top, self._lift(elt.coords, elt.level, top))
-            result = None if coords is None else TowerElement(self, top, coords)._trim()
-        self._sqrt_cache[key] = result
-        return result
+            return self._sqrt_char2(elt)
+        top = len(self.levels)
+        coords = self._sqrt_rec(top, self._lift(elt.coords, elt.level, top))
+        return None if coords is None else TowerElement(self, top, coords)._trim()
 
     def _sqrt_rec(self, level, x):
         if level == 0:
@@ -418,13 +408,11 @@ class TowerContext:
         if d.is_zero():
             raise FieldError("cannot adjoin sqrt(0) as a tower level")
         self.levels.append(TowerLevel("sqrt", d))
-        self._sqrt_cache = {}  # non-squares may become squares now
         return self.generator(len(self.levels))
 
     def adjoin_artin_schreier(self, c):
         """Append a char-2 level with theta^2 = theta + c; returns theta."""
         self.levels.append(TowerLevel("as", c))
-        self._sqrt_cache = {}
         return self.generator(len(self.levels))
 
     # -- serialization -----------------------------------------------------
@@ -447,11 +435,18 @@ class TowerContext:
             coords = entry
             if isinstance(entry, dict):
                 kind, coords = "as", entry["as"]
-            vals = tuple(ctx.base.parse(s) for s in coords)
-            level = max(0, (len(vals)).bit_length() - 1)
-            elt = TowerElement(ctx, level, vals)._trim()
-            ctx.levels.append(TowerLevel(kind, elt))
+            ctx.levels.append(TowerLevel(kind, ctx._decode(coords)))
         return ctx
+
+    def _decode(self, coords, level=None):
+        """The element of this tower with the coordinate strings `coords`:
+        2^k of them for a level k of at most the tower height, which
+        `level` must equal when given."""
+        k = len(coords).bit_length() - 1
+        if not coords or len(coords) != 1 << k or k > len(self.levels) or level not in (None, k):
+            got = f"{len(coords)} coordinates" + ("" if level is None else f" and level {level!r}")
+            raise FieldError(f"no element of a tower of height {len(self.levels)} has {got}")
+        return TowerElement(self, k, tuple(map(self.base.parse, coords)))._trim()
 
 
 class TowerElement:
@@ -518,9 +513,6 @@ class TowerElement:
         return TowerElement(self.ctx, lev, self.ctx._sub(x, y))._trim()
 
     def __rsub__(self, other):
-        if type(other) is int and self.level == 0:
-            base = self.ctx.base
-            return TowerElement(self.ctx, 0, (base.sub(base.from_int(other), self.coords[0]),))
         return (-self) + other
 
     def __neg__(self):
@@ -581,8 +573,7 @@ class TowerElement:
 
     @classmethod
     def from_json(cls, ctx, obj):
-        vals = tuple(ctx.base.parse(s) for s in obj["coords"])
-        return cls(ctx, obj["level"], vals)._trim()
+        return ctx._decode(obj["coords"], obj["level"])
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,6 @@ def eigenlines(m):
         if not m.b.is_zero():
             lines.append(Line(m.b, lam - m.a))
         elif m.a == lam:
-            if m.c.is_zero() and m.d == lam:
-                continue
             lines.append(Line(lam - m.d, m.c))
         else:
             lines.append(Line(ctx.zero, ctx.one))
@@ -215,14 +213,7 @@ class ReducibilityVerdict:
 
 
 def is_reducible_pair(am, bm):
-    if am.is_plus_minus_identity() or bm.is_plus_minus_identity():
-        return ReducibilityVerdict(True, witness=common_eigenline([am, bm]))
-    if not delta(am, bm).is_zero():
-        return ReducibilityVerdict(False, certificate=(0, 1))
-    ln = common_eigenline([am, bm])
-    if ln is None:
-        raise SL2Error("delta vanished but no common eigenline found")
-    return ReducibilityVerdict(True, witness=ln)
+    return is_reducible_family([am, bm])
 
 
 def is_reducible_family(mats):

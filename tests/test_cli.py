@@ -228,6 +228,10 @@ PROBES = [
     ["propagate", "--json", payload_with(
         SIGMA11, triangle=["10000000000000000000000000000000000000000000000007", "3", "3"],
         slopes=["1/20000"])],
+    # fp scalars are [+-]digits, as over q without the denominator
+    ["realize", "--field", "fp:5", "--json", json.dumps({"traces": [" 3"] + ["2"] * 5})],
+    ["realize", "--field", "fp:5", "--json", json.dumps({"traces": ["1_0"] + ["2"] * 5})],
+    ["realize", "--field", "fp:5", "--json", json.dumps({"traces": ["\u0663"] + ["2"] * 5})],
     ["realize", "--bogus"],
     ["exceptional", "--n", "abc"],
     ["exceptional", "--n", "4"],
@@ -405,3 +409,41 @@ def test_field_fp_realize():
     assert code == 0
     report = json.loads(out)
     assert len(report["result"]["matrices"]) == 3
+
+
+def pm2_atlas(*minus):
+    """The atlas payload with the interior keys `minus` valued -2, the
+    other keys 2."""
+    return json.dumps({"boundary": ["2"] * 5,
+                       "interior": {k: "-2" if k in minus else "2" for k in ATLAS_KEYS}})
+
+
+def level0(text):
+    return {"coords": [text], "level": 0}
+
+
+IDENTITY = [level0("1/1"), level0("0/1"), level0("0/1"), level0("1/1")]
+# Every atlas verdict as the CLI reports it, on ±2 datasets of the check05
+# branches in tests/test_planar.py; F0 has every interior key -2.
+ATLAS_REPORTS = [
+    ("check05", (), 0, {"verdict": "character", "rep": [IDENTITY] * 4}),
+    ("check05", ATLAS_KEYS, 0, {"verdict": "exceptional"}),
+    ("check05", ("134",), 1, {"verdict": "invalid", "witness": [
+        "value-mismatch", ["134", level0("-2/1"), level0("2/1")]]}),
+    ("check05", ("12", "14", "23", "24", "34", "123", "234"), 1,
+     {"verdict": "invalid", "witness": ["no-admissible-branch", None]}),
+    ("glue05", (), 0, {"verdict": "rep", "rep": [IDENTITY] * 4}),
+    ("glue05", ATLAS_KEYS, 0, {"verdict": "exceptional-obstruction",
+                               "detail": "middle pants reducible but a side is irreducible"}),
+    ("glue05", ("234",), 1, {"verdict": "rejected", "witness": ["X", level0("16/1")]}),
+]
+
+
+@pytest.mark.parametrize("command,minus,code,result", ATLAS_REPORTS,
+                         ids=[f"{c}-{r['verdict']}-{i}" for i, (c, _, _, r) in enumerate(ATLAS_REPORTS)])
+def test_atlas_verdict_reports(command, minus, code, result):
+    got, out = main_in_process([command, "--json", pm2_atlas(*minus)])
+    report = json.loads(out)
+    assert got == code
+    assert report["result"] == result
+    assert report["tower"] == []

@@ -380,6 +380,27 @@ def test_results_are_canonical():
     assert TowerElement.from_json(ctx, untrimmed) == ctx.from_rational(3, 7)
 
 
+def test_decoders_check_coordinate_count_and_level():
+    ctx = q_ctx()
+    root2, _ = solve_quadratic(ctx, ctx.zero, ctx.from_int(-2))
+    assert len(ctx.levels) == 1
+    assert TowerElement.from_json(ctx, {"level": 1, "coords": ["5", "0"]}) == ctx.from_int(5)
+    assert TowerElement.from_json(ctx, root2.to_json()) == root2
+    # "level" disagrees with the count, the count is not a power of two,
+    # or the level is above the tower
+    for bad in ({"level": 0, "coords": ["1", "3"]}, {"level": 1, "coords": ["5"]},
+                {"level": 1, "coords": ["1", "2", "3"]}, {"level": 0, "coords": []},
+                {"level": 2, "coords": ["1", "2", "3", "4"]}):
+        with pytest.raises(FieldError):
+            TowerElement.from_json(ctx, bad)
+    for tower in ([["1", "2", "3"]], [["2", "1"]], [[]], [["2"], ["1", "2", "3"]],
+                  [["2"], ["1", "0", "1", "0"]]):
+        with pytest.raises(FieldError):
+            TowerContext.from_json({"field": "q", "tower": tower})
+    two_levels = {"field": "q", "tower": [["2/1"], ["1/1", "1/1"]]}
+    assert TowerContext.from_json(two_levels).to_json() == two_levels
+
+
 @pytest.mark.parametrize("spec,defining", TOWERS,
                          ids=[f"{s}-h{len(d)}-{i}" for i, (s, d) in enumerate(TOWERS)])
 def test_operations_return_trimmed(spec, defining):

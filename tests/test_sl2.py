@@ -210,6 +210,21 @@ def test_family_triple_certificate():
     assert not brute
 
 
+def test_family_triple_certificate_over_q():
+    # every pair shares an eigenline, the three share none
+    ctx = q_ctx()
+    r = ctx.from_rational
+    a = Mat2(r(2), r(0), r(0), r(1, 2))
+    b = Mat2(r(3), r(-8, 3), r(0), r(1, 3))
+    c = Mat2(r(1, 3), r(0), r(-8, 3), r(3))
+    for x, y in ((a, b), (b, c), (a, c)):
+        v = is_reducible_pair(x, y)
+        assert v.reducible and v.witness.is_fixed_by(x) and v.witness.is_fixed_by(y)
+    v = is_reducible_family([a, b, c])
+    assert not v.reducible
+    assert v.certificate == (0, 1, 2)
+
+
 def test_realize_case3_verbatim_solutions():
     ctx = q_ctx()
     two, m2 = ctx.from_int(2), ctx.from_int(-2)
