@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 
@@ -49,6 +50,8 @@ SLOPE_MAX_WALK = 20000  # Farey walk steps of one job, summed over its slopes
 # walk times the seed size (its largest numerator or denominator
 # bit_length) is capped; 20000 steps from one-digit seeds (4 bits) fit.
 WALK_SEED_BITS_MAX = 4 * SLOPE_MAX_WALK
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # integer strings in a payload
 
 
 class InputError(ValueError):
@@ -109,9 +112,15 @@ def _read_scalars(ctx, payload, key, count):
     return [_decode(ctx.parse, str(s), key) for s in _get(payload, key, list, count)]
 
 
+def _int(text):
+    if not _INTEGER.fullmatch(text):
+        raise ValueError("expected an integer")
+    return int(text)
+
+
 def _read_int(item, what, lo=None, hi=None):
-    """A JSON integer or an integer literal string, within lo..hi."""
-    value = item if type(item) is int else _decode(int, item, what)
+    """A JSON integer or an ASCII [+-]digits string, within lo..hi."""
+    value = item if type(item) is int else _decode(_int, item, what)
     if (lo is not None and value < lo) or (hi is not None and value > hi):
         raise InputError(f"{what} must be in {lo}..{hi}, got {value}")
     return value

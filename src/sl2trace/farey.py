@@ -5,6 +5,7 @@ Christoffel word map for slopes on the once-punctured torus."""
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 
 from .fricke import Word
@@ -12,6 +13,9 @@ from .fricke import Word
 
 class FareyError(ValueError):
     pass
+
+
+_SLOPE = re.compile(r"[+-]?[0-9]+(/[+-]?[0-9]+)?")  # the slope grammar
 
 
 class Slope(namedtuple("Slope", "p q")):
@@ -35,10 +39,11 @@ class Slope(namedtuple("Slope", "p q")):
 
     @classmethod
     def parse(cls, text):
-        if "/" in text:
-            a, b = text.split("/", 1)
-            return cls(int(a), int(b))
-        return cls(int(text), 1)
+        """The slope of "p" or "p/q", each an ASCII [+-]digits integer."""
+        if not _SLOPE.fullmatch(text):
+            raise FareyError(f"expected an integer or p/q, got {text!r}")
+        a, _, b = text.partition("/")
+        return cls(int(a), int(b or "1"))
 
     def __str__(self):
         return f"{self.p}/{self.q}"

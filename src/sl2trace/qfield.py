@@ -429,13 +429,24 @@ class TowerContext:
 
     @classmethod
     def from_json(cls, obj):
+        """The tower `to_json` wrote.  Each level must extend the tower
+        below it, as `solve_quadratic` extends it: a square root of an
+        element that is not a square there (so not zero), or in
+        characteristic 2 a root of x^2 + x = c with none there.  Any other
+        level raises FieldError: it would make zero divisors, or, as an
+        Artin-Schreier level outside characteristic 2, wrong inverses."""
         ctx = cls(base_from_spec(obj["field"]))
         for entry in obj["tower"]:
-            kind = "sqrt"
-            coords = entry
             if isinstance(entry, dict):
-                kind, coords = "as", entry["as"]
-            ctx.levels.append(TowerLevel(kind, ctx._decode(coords)))
+                c = ctx._decode(entry["as"])
+                if ctx.base.characteristic != 2 or _artin_schreier_root(ctx, c) is not None:
+                    raise FieldError(f"x^2 + x = {c!r} does not extend the tower")
+                ctx.adjoin_artin_schreier(c)
+            else:
+                d = ctx._decode(entry)
+                if ctx.sqrt_in_tower(d) is not None:
+                    raise FieldError(f"{d!r} is a square in the tower below")
+                ctx.adjoin_sqrt(d)
         return ctx
 
     def _decode(self, coords, level=None):

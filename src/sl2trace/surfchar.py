@@ -12,12 +12,13 @@ words x1, x2, x3, x1x2x3.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
 from .qfield import characteristic, too_many_digits
 from .sl2 import Rep, delta_values, realize_triple
-from .farey import INF, ONE, ZERO, farey_walk
+from .farey import BASE_TRIANGLE, farey_walk
 from .fricke import subset_trace_assignment
 
 
@@ -36,21 +37,39 @@ def half_product(a, b):
 
 
 def _size_check(ctx):
-    """Over Q, a check for each value a walk stores: once a numerator or
-    denominator is too long to print (more than sys.get_int_max_str_digits()
-    digits, told by bit_length()) it raises the error printing would, so the
-    walk stops before its values grow further.  None over F_p, whose values
-    are bounded, or with no digit limit."""
+    """Over Q, a check for each base scalar a walk stores: once its numerator
+    or denominator is too long to print (more than
+    sys.get_int_max_str_digits() digits, told by bit_length()) it raises the
+    error printing would, so the walk stops before its values grow further.
+    None over F_p, whose values are bounded, or with no digit limit."""
     digits = sys.get_int_max_str_digits()
     if characteristic(ctx) != 0 or not digits:
         return None
     bits = math.ceil(digits * math.log2(10))  # an integer past it has more digits
 
+    def check(x):
+        if x.numerator.bit_length() > bits or x.denominator.bit_length() > bits:
+            raise too_many_digits()
+    return check
+
+
+def _step_field(ctx, seeds):
+    """The field a Farey step loop runs in, chosen once from its seeds:
+    (lower, wrap, mul, sub, check).  When every seed is at tower level 0 the
+    memo holds base scalars (int or Fraction over Q, int mod p over F_p),
+    `lower` takes a seed to its scalar and `wrap` a scalar back to a
+    TowerElement, so a step builds no element; otherwise the memo holds
+    TowerElements and both are the identity.  `check` is the size guard of
+    each stored value, or None."""
+    check_scalar = _size_check(ctx)
+    if all(v.level == 0 for v in seeds):
+        return (lambda v: v.coords[0]), ctx.from_base, ctx.base.mul, ctx.base.sub, check_scalar
+
     def check(v):
         for x in v.coords:
-            if x.numerator.bit_length() > bits or x.denominator.bit_length() > bits:
-                raise too_many_digits()
-    return check
+            check_scalar(x)
+    same = lambda v: v
+    return same, same, operator.mul, operator.sub, check_scalar and check
 
 
 # ---------------------------------------------------------------------------
@@ -90,25 +109,26 @@ class TF11:
 
     def __init__(self, v1, v2, v3):
         self.ctx = v1.ctx
-        self.values = {ZERO: v1, INF: v2, ONE: v3}
+        self._seed = (v1, v2, v3)
         self.boundary = delta_values(v1, v2, v3) + 2
-        self._check = _size_check(self.ctx)
+        lower, self._wrap, self._mul, self._sub, self._check = _step_field(self.ctx, self._seed)
+        self.values = dict(zip(BASE_TRIANGLE, map(lower, self._seed)))
 
     def seed(self):
-        return (self.values[ZERO], self.values[INF], self.values[ONE])
+        return self._seed
 
     def query(self, slope):
         values = self.values
         if slope not in values:
-            check = self._check
+            mul, sub, check = self._mul, self._sub, self._check
             for a, b, old, new in farey_walk(slope):
                 if new in values:
                     continue
-                v = values[a] * values[b] - values[old]
+                v = sub(mul(values[a], values[b]), values[old])
                 if check:
                     check(v)
                 values[new] = v
-        return values[slope]
+        return self._wrap(values[slope])
 
     def reducible(self):
         return delta_values(*self.seed()).is_zero()
@@ -169,15 +189,17 @@ class TF04:
     def __init__(self, boundary, triangle):
         self.ctx = boundary[0].ctx
         self.boundary = b = tuple(boundary)
-        self.values = {ZERO: triangle[0], INF: triangle[1], ONE: triangle[2]}
-        self._check = _size_check(self.ctx)
+        self._seed = tuple(triangle)
+        lower, self._wrap, self._mul, self._sub, self._check = _step_field(
+            self.ctx, b + self._seed)
+        self.values = dict(zip(BASE_TRIANGLE, map(lower, self._seed)))
         # b_i b_j + b_k b_l for each slope class, the constant of its step
         self.pair_terms = {
-            cls: b[i] * b[j] + b[k] * b[l] for cls, ((i, j), (k, l)) in PAIRING.items()
+            cls: lower(b[i] * b[j] + b[k] * b[l]) for cls, ((i, j), (k, l)) in PAIRING.items()
         }
 
     def seed(self):
-        return (self.values[ZERO], self.values[INF], self.values[ONE])
+        return self._seed
 
     def residual(self):
         return tf04_residual(self.boundary, self.seed())
@@ -185,15 +207,15 @@ class TF04:
     def query(self, slope):
         values = self.values
         if slope not in values:
-            check, terms = self._check, self.pair_terms
+            mul, sub, check, terms = self._mul, self._sub, self._check, self.pair_terms
             for a, b, old, new in farey_walk(slope):
                 if new in values:
                     continue
-                v = terms[new[0] & 1, new[1] & 1] - values[a] * values[b] - values[old]
+                v = sub(sub(terms[new[0] & 1, new[1] & 1], mul(values[a], values[b])), values[old])
                 if check:
                     check(v)
                 values[new] = v
-        return values[slope]
+        return self._wrap(values[slope])
 
     def triangle_residual(self, a, b, c):
         """The character relation at the Farey triangle (a, b, c), in any order."""

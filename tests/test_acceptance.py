@@ -379,7 +379,7 @@ def test_criterion_06_farey_propagation():
         # path independence: three derivations per slope
         fresh = tf11_extend(a1.trace(), a2.trace(), (a1 * a2).trace())
         for s in reversed(box):
-            assert fresh.query(s) == tf.values[s]
+            assert fresh.query(s) == tf.query(s)
         for s in box:
             base = tf.query(s)
             for other in (Slope(0, 1), Slope(1, 0)):

@@ -232,6 +232,11 @@ PROBES = [
     ["realize", "--field", "fp:5", "--json", json.dumps({"traces": [" 3"] + ["2"] * 5})],
     ["realize", "--field", "fp:5", "--json", json.dumps({"traces": ["1_0"] + ["2"] * 5})],
     ["realize", "--field", "fp:5", "--json", json.dumps({"traces": ["\u0663"] + ["2"] * 5})],
+    # slopes and integer strings in a payload are ASCII [+-]digits too
+    ["propagate", "--json", payload_with(SIGMA11, slopes=[" 1_0/3"])],
+    ["propagate", "--json", payload_with(SIGMA11, slopes=["\u0663/4"])],
+    ["certify", "--json", json.dumps({"n": " 5", "boundary": [2] * 5, "table": F0_TABLE})],
+    ["tracepoly", "--json", json.dumps({"word": "x1 x2", "rank": " 3"})],
     ["realize", "--bogus"],
     ["exceptional", "--n", "abc"],
     ["exceptional", "--n", "4"],

@@ -401,6 +401,30 @@ def test_decoders_check_coordinate_count_and_level():
     assert TowerContext.from_json(two_levels).to_json() == two_levels
 
 
+@pytest.mark.parametrize("field,tower", [
+    ("q", [["4"]]),  # 4 = 2^2: the root t would give (t - 2)(t + 2) = 0
+    ("q", [["0"]]),
+    ("q", [["-1/1"], ["-1/1", "0/1"]]),  # -1 = i^2 once i is adjoined
+    ("q", [["2"], ["1", "1"], ["2", "0", "0", "0"]]),
+    ("fp:5", [["4"]]),
+    ("fp:5", [["2"], ["3", "0"]]),  # every element of F_5 is a square in F_25
+    ("fp:2", [["1"]]),  # a sqrt level in characteristic 2, where every element is a square
+    ("fp:2", [{"as": ["0"]}]),  # x^2 + x = 0 has the roots 0 and 1
+    ("fp:2", [{"as": ["1"]}, {"as": ["1", "0"]}]),
+    ("q", [{"as": ["1"]}]),  # an Artin-Schreier level outside characteristic 2
+])
+def test_tower_loader_refuses_a_level_that_does_not_extend(field, tower):
+    with pytest.raises(FieldError):
+        TowerContext.from_json({"field": field, "tower": tower})
+
+
+@pytest.mark.parametrize("spec,defining", TOWERS,
+                         ids=[f"{s}-h{len(d)}-{i}" for i, (s, d) in enumerate(TOWERS)])
+def test_tower_json_round_trips(spec, defining):
+    obj = build_tower(spec, defining).to_json()
+    assert TowerContext.from_json(obj).to_json() == obj
+
+
 @pytest.mark.parametrize("spec,defining", TOWERS,
                          ids=[f"{s}-h{len(d)}-{i}" for i, (s, d) in enumerate(TOWERS)])
 def test_operations_return_trimmed(spec, defining):

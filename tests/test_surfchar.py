@@ -3,10 +3,16 @@ import random
 
 import pytest
 
-from sl2trace.qfield import PrimeBase, RationalBase, TowerContext, base_from_spec, solve_quadratic
+from sl2trace.qfield import (
+    FieldError, PrimeBase, RationalBase, TowerContext, TowerElement, base_from_spec,
+    solve_quadratic,
+)
 from sl2trace.sl2 import Mat2, Rep, delta_values
-from sl2trace.farey import Slope, complete_triangle, farey_walk, slope_word_torus, slopes_in_box
+from sl2trace.farey import (
+    Slope, complete_triangle, farey_walk, psl2z_act, slope_word_torus, slopes_in_box,
+)
 from sl2trace.fricke import TracePolynomial, trace_of_word_direct
+from sl2trace.planar import TraceData05
 from sl2trace.surfchar import (
     SurfaceError,
     half_product,
@@ -175,7 +181,7 @@ def test_tf11_path_independence():
     # a fresh function queried in reversed order fills its memo in another order
     fresh = tf11_extend(*seeds)
     for s in reversed(box):
-        assert fresh.query(s) == tf.values[s]
+        assert fresh.query(s) == tf.query(s)
     for s in box:
         base = tf.query(s)
         # a second route: derive f(s) from the deeper quadrilateral
@@ -301,12 +307,13 @@ def test_tf04_path_independence():
         tf.query(s)
     fresh = tf04_from_rep(rep)
     for s in reversed(box):
-        assert fresh.query(s) == tf.values[s]
+        assert fresh.query(s) == tf.query(s)
 
 
 def test_memo_values_over_q_with_integer_seeds_stay_int():
-    """Over q, integer seeds give int coordinates at every memo entry, not
-    Fractions with denominator 1 (the cost of a step, not its value)."""
+    """Over q, integer seeds give an int at every memo entry, and a level-0
+    element with an int coordinate for every query, not Fractions with
+    denominator 1 (the cost of a step, not its value)."""
     rng = random.Random(20)
     ctx = q_ctx()
     surfaces = [tf11_extend(*ints(ctx, 3, 3, 3)), tf11_extend(*ints(ctx, -2, 1, 0)),
@@ -318,7 +325,127 @@ def test_memo_values_over_q_with_integer_seeds_stay_int():
         assert len(tf.values) > 80
         for slope, v in tf.values.items():
             assert type(slope) is Slope
-            assert v.level == 0 and all(type(x) is int for x in v.coords), (slope, v)
+            assert type(v) is int, (slope, v)
+            got = tf.query(slope)
+            assert got.level == 0 and type(got.coords[0]) is int and got.coords[0] == v
+
+
+# Braid automorphisms of <x1, x2, x3> that fix x1 x2 x3, with the integer
+# matrix of their action on 4-holed-sphere slopes: sigma1 (and its inverse)
+# is a half-twist about alpha1 = [x1 x2], slope 0/1; sigma2 about
+# alpha2 = [x2 x3], slope 1/0.  Their slope actions generate SL(2, Z).
+BRAIDS = [
+    ({1: (1, 2, -1), 2: (1,), 3: (3,)}, ((1, 0), (1, 1))),
+    ({1: (2,), 2: (-2, 1, 2), 3: (3,)}, ((1, 0), (-1, 1))),
+    ({1: (1,), 2: (2, 3, -2), 3: (2,)}, ((1, -1), (0, 1))),
+    ({1: (1,), 2: (3,), 3: (-3, 2, 3)}, ((1, 1), (0, 1))),
+]
+
+
+def braid_image(images, word):
+    out = []
+    for k in word:
+        image = images[k] if k > 0 else tuple(-x for x in reversed(images[-k]))
+        for x in image:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return tuple(out)
+
+
+def sphere_slope_words(bound):
+    """A word in x1, x2, x3 for the curve of each slope of slopes_in_box(bound)
+    on the 4-holed sphere: the braid images of the base triangle's curves
+    [x1 x2], [x2 x3], [x1 x3], found breadth first.  Shares no code with the
+    Farey recurrence."""
+    words = {Slope(0, 1): (1, 2), Slope(1, 0): (2, 3), Slope(1, 1): (1, 3)}
+    want = set(slopes_in_box(bound))
+    frontier = list(words)
+    while not want <= set(words):
+        grown = []
+        for slope in frontier:
+            for images, matrix in BRAIDS:
+                image = psl2z_act(matrix, slope)
+                if image not in words:
+                    words[image] = braid_image(images, words[slope])
+                    grown.append(image)
+        frontier = grown
+    return {slope: words[slope] for slope in want}
+
+
+def level1_rep(rng, ctx, rank):
+    """A rep over Q(sqrt 2) whose off-diagonal entries all involve the root."""
+    root = ctx.adjoin_sqrt(ctx.from_int(2))
+    gens = []
+    for _ in range(rank):
+        b, c = (ctx.from_int(rng.randint(-2, 2)) + ctx.from_int(rng.randint(1, 2)) * root
+                for _ in range(2))
+        gens.append(Mat2(ctx.one, b, c, ctx.one + b * c))
+    return Rep(gens)
+
+
+def test_fp_memo_holds_residues_and_queries_match_traces():
+    for p in (5, 101):
+        ctx = TowerContext(PrimeBase(p))
+        rng = random.Random(p)
+        rep2, rep3 = random_rep(rng, ctx, 2), random_rep(rng, ctx, 3)
+        a1, a2 = rep2.generators
+        tf11 = tf11_extend(a1.trace(), a2.trace(), (a1 * a2).trace())
+        tf04 = tf04_from_rep(rep3)
+        words = sphere_slope_words(4)
+        for s in slopes_in_box(4):
+            assert tf11.query(s) == trace_of_word_direct(rep2, slope_word_torus(s)), (p, s)
+            assert tf04.query(s) == trace_of_word_direct(rep3, words[s]), (p, s)
+        for tf in (tf11, tf04):
+            assert len(tf.values) >= len(slopes_in_box(4))
+            assert all(type(v) is int and 0 <= v < p for v in tf.values.values())
+
+
+def test_level1_seeds_propagate_tower_elements():
+    rng = random.Random(21)
+    ctx = q_ctx()
+    rep3 = level1_rep(rng, ctx, 3)
+    tf04 = tf04_from_rep(rep3)
+    assert max(v.level for v in tf04.boundary + tf04.seed()) == 1
+    a1, a2 = rep3.generators[:2]
+    tf11 = tf11_extend(a1.trace(), a2.trace(), (a1 * a2).trace())
+    words = sphere_slope_words(4)
+    for s in slopes_in_box(4):
+        assert tf04.query(s) == trace_of_word_direct(rep3, words[s]), s
+        assert tf11.query(s) == trace_of_word_direct(Rep([a1, a2]), slope_word_torus(s)), s
+    for tf in (tf04, tf11):
+        assert all(type(v) is TowerElement for v in tf.values.values())
+        assert any(v.level == 1 for v in tf.values.values())
+
+
+def test_size_guard_stops_a_tower_walk_midway():
+    """Values too long to print stop a walk on tower elements as they stop
+    one on scalars (the CLI's propagate tests)."""
+    ctx = q_ctx()
+    root = ctx.adjoin_sqrt(ctx.from_int(2))
+    tf = tf11_extend(ctx.from_int(3) + root, *ints(ctx, 3, 3))
+    with pytest.raises(FieldError, match="digits"):
+        tf.query(Slope(1, 20000))
+    assert 3 < len(tf.values) < 20000
+
+
+@pytest.mark.parametrize("make_rep,memo_type", [
+    (lambda rng, ctx: random_rep(rng, ctx, 4), int),
+    (lambda rng, ctx: level1_rep(rng, ctx, 4), TowerElement),
+], ids=["level0", "level1"])
+def test_planar_side_query_matches_its_word_trace(make_rep, memo_type):
+    """The value planar reads for its primed pentagon, side(2) at -1/2,
+    is the trace of that curve on the generators x2, x3, x4."""
+    words = sphere_slope_words(2)
+    for seed in range(3):
+        ctx = q_ctx()
+        rep = make_rep(random.Random(seed), ctx)
+        tf_y = TraceData05.from_rep(rep).side(2)
+        side = Rep(list(rep.generators[1:]))
+        assert tf_y.query(Slope(-1, 2)) == trace_of_word_direct(side, words[Slope(-1, 2)])
+        assert tf_y.boundary[3] == trace_of_word_direct(side, (1, 2, 3))
+        assert all(type(v) is memo_type for v in tf_y.values.values())
 
 
 def test_pm2_examples():
